@@ -30,9 +30,9 @@ from .states import (GaussianState, covariant_map, evaluate, ground_state,
                      index_matrix, l2_norm_sq, sample_grid, state_distance)
 from .theta import (ThetaValue, Truncation, fourier_coefficient, lattice_sum,
                     siegel_theta, theta_M, theta_weight_quarter)
-from .weil import (SW_SCALE, check_covariance, covariance_residual,
-                   rotation_word, schrodinger_apply, sw_heisenberg_apply,
-                   sw_iwasawa_apply, sw_rotation_apply, weil_apply_word,
-                   weil_generator_apply, word_to_symplectic)
+from .weil import (SW_SCALE, covariance_residual, rotation_word,
+                   schrodinger_apply, sw_heisenberg_apply, sw_iwasawa_apply,
+                   sw_rotation_apply, weil_apply_word, weil_generator_apply,
+                   word_to_symplectic)
 
 __version__ = "0.1.0"

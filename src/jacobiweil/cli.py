@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__, serialize
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import (ConvergenceError, DomainError, EigenSolverError,
+                     ResourceError)
 from .groups import IwasawaCoords, SiegelJacobiPoint
 from .jacobi_theta import LatticePair, theta_sum_f
 from .maass import casimir_km, multiplicity, sample_function
@@ -42,7 +44,7 @@ def _decode_word(spec):
     return word
 
 
-def _job_theta(params, tol, threads):
+def _job_theta(params, tol):
     tol = 1e-9 if tol is None else tol
     mm = serialize.decode_real_matrix(params["M"])
     m = int(params.get("m", mm.shape[0]))
@@ -51,12 +53,12 @@ def _job_theta(params, tol, threads):
     shape_z = (m, int(n)) if n is not None else None
     p = SiegelJacobiPoint(serialize.decode_complex_matrix(params["omega"], shape_o),
                           serialize.decode_complex_matrix(params["z"], shape_z))
-    tv = theta_M(mm, p, tol, threads=threads)
+    tv = theta_M(mm, p, tol)
     return {"value": serialize.encode_complex(tv.value)}, {
         "radius": tv.truncation.radius, "tail_bound": tv.truncation.tail_bound}, True
 
 
-def _job_theta_sum(params, tol, threads):
+def _job_theta_sum(params, tol):
     tol = 1e-9 if tol is None else tol
     n = int(params["n"])
     f = serialize.decode_state(params["f"]) if "f" in params else ground_state(n)
@@ -64,13 +66,12 @@ def _job_theta_sum(params, tol, threads):
                            float(params.get("theta", 0.0)))
     xi = LatticePair(np.asarray(params.get("lambda", [0.0] * n), dtype=float),
                      np.asarray(params.get("mu", [0.0] * n), dtype=float))
-    tv = theta_sum_f(f, coords, xi, t=float(params.get("t", 0.0)), tol=tol,
-                     threads=threads)
+    tv = theta_sum_f(f, coords, xi, t=float(params.get("t", 0.0)), tol=tol)
     return {"value": serialize.encode_complex(tv.value)}, {
         "radius": tv.truncation.radius, "tail_bound": tv.truncation.tail_bound}, True
 
 
-def _job_maslov(params, tol, threads):
+def _job_maslov(params, tol):
     ls = [Lagrangian(serialize.decode_real_matrix(b)) for b in params["lagrangians"]]
     if len(ls) < 3:
         raise DomainError("need at least three Lagrangians")
@@ -78,7 +79,7 @@ def _job_maslov(params, tol, threads):
     return {"index": value}, {}, True
 
 
-def _job_cocycle(params, tol, threads):
+def _job_cocycle(params, tol):
     variant = params.get("type", "sl2")
     if variant == "sl2":
         val = cocycle_sl2(serialize.decode_real_matrix(params["M1"]),
@@ -94,7 +95,7 @@ def _job_cocycle(params, tol, threads):
     return {"value": serialize.encode_complex(val)}, {}, True
 
 
-def _job_covariance(params, tol, threads):
+def _job_covariance(params, tol):
     mm = serialize.decode_real_matrix(params["M"])
     word = _decode_word(params["word"])
     h = serialize.decode_heisenberg(params["heisenberg"])
@@ -107,7 +108,7 @@ def _job_covariance(params, tol, threads):
             res <= (1e-9 if tol is None else tol))
 
 
-def _job_casimir(params, tol, threads):
+def _job_casimir(params, tol):
     func = sample_function(params.get("function", "poly-exp"))
     h = float(params.get("h", 1e-3))
     val = casimir_km(func, int(params["k"]), int(params["m"]),
@@ -116,12 +117,12 @@ def _job_casimir(params, tol, threads):
     return {"value": serialize.encode_complex(val)}, {"step": h}, True
 
 
-def _job_multiplicity(params, tol, threads):
+def _job_multiplicity(params, tol):
     val = multiplicity(params["taus"], int(params["m"]), int(params["n"]))
     return {"multiplicity": val}, {}, True
 
 
-def _job_verify_suite(params, tol, threads):
+def _job_verify_suite(params, tol):
     report = run_suite(params["name"], int(params.get("seed", 0)),
                        int(params.get("count", 20)),
                        None if tol is None else tol)
@@ -141,9 +142,11 @@ _COMMANDS = {
 }
 
 
-def run_job(spec: dict, threads: int = 1) -> tuple[dict, int]:
+def run_job(spec: dict) -> tuple[dict, int]:
     """Execute a JobSpec; returns (JobResult dict, exit code)."""
     t0 = time.perf_counter()
+    if not isinstance(spec, dict):
+        raise DomainError("a JobSpec must be a JSON object")
     command = spec.get("command")
     if command not in _COMMANDS:
         raise DomainError(f"unknown command {command!r}; available: {sorted(_COMMANDS)}")
@@ -151,14 +154,18 @@ def run_job(spec: dict, threads: int = 1) -> tuple[dict, int]:
     if not isinstance(params, dict):
         raise DomainError("params must be an object")
     tol = spec.get("tol")
-    if tol is not None and tol <= 0:
-        raise DomainError("tol must be positive")
-    outputs, certification, ok = _COMMANDS[command](params, tol, threads)
+    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
+    if tol is not None and not (type(tol) in (int, float) and 0 < tol < math.inf):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
+    seed = spec.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    outputs, certification, ok = _COMMANDS[command](params, tol)
     result = {
         "schema": SCHEMA,
         "version": __version__,
         "command": command,
-        "inputs": {"params": params, "tol": tol, "seed": spec.get("seed")},
+        "inputs": {"params": params, "tol": tol, "seed": seed},
         "outputs": outputs,
         "certification": certification,
         "passed": bool(ok),
@@ -176,7 +183,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=20)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -190,13 +198,14 @@ def main(argv=None) -> int:
         else:
             parser.print_usage(sys.stderr)
             return 2
-        result, code = run_job(spec, threads=max(1, args.threads))
-    except (DomainError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": f"usage: {exc}"}), file=sys.stdout)
-        return 2
-    except (ResourceError, ConvergenceError) as exc:
+        result, code = run_job(spec)
+    # LinAlgError subclasses ValueError, so the resource handler comes first
+    except (ResourceError, ConvergenceError, EigenSolverError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": f"resource: {exc}"}), file=sys.stdout)
         return 3
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        print(json.dumps({"schema": SCHEMA, "error": f"usage: {exc}"}), file=sys.stdout)
+        return 2
     print(json.dumps(result, sort_keys=True))
     return code
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import HeisenbergElement, IwasawaCoords, sl2_act_circle
-from .states import GaussianState, evaluate
+from .states import GaussianState
 from .theta import ThetaValue, lattice_sum
 from .weil import sw_heisenberg_apply, sw_iwasawa_apply, sw_rotation_apply
 
@@ -67,10 +67,10 @@ def theta_state(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
 
 
 def theta_sum_f(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
-                t: float = 0.0, tol: float = 1e-10, threads: int = 1) -> ThetaValue:
+                t: float = 0.0, tol: float = 1e-10) -> ThetaValue:
     """Jacobi's theta sum: the certified lattice sum of ``theta_state``."""
     st = theta_state(f, coords, xi, t)
-    return lattice_sum(st, np.eye(1), tol, threads=threads)
+    return lattice_sum(st, np.eye(1), tol)
 
 
 def gamma_n_generators(n: int):
@@ -116,22 +116,25 @@ def asymptotic_main_term(f: GaussianState, g: GaussianState, coords: IwasawaCoor
     """Main term y^{n/2} sum_a f_th((a - mu) sqrt y) conj(g_th((a - mu) sqrt y))
     against the actual product Theta_f conj(Theta_g).
 
+    f_th conj(g_th) is the Gaussian with A = A_f - conj(A_g) and
+    B = B_f - conj(B_g); substituting x = (a - mu) sqrt y turns the main term
+    into y^{n/2} times one certified lattice sum over a, summed at ``tol``.
+    mu is first moved by its nearest integer point, which only relabels a, so
+    that the amplitude of that sum does not underflow for large mu.
     Returns (main, actual, residual).
     """
-    n = xi.n
     one = np.eye(1)
     y = coords.tau.imag
     f_th = sw_rotation_apply(one, coords.theta, f)
     g_th = sw_rotation_apply(one, coords.theta, g)
-    # lattice sum of f_th((a - mu) sqrt y) conj(g_th(...)): a Gaussian in a
-    radius = max(4, int(math.ceil(6.0 / math.sqrt(y))) + 4)
-    import itertools
-
-    main = 0j
-    for pt in itertools.product(range(-radius, radius + 1), repeat=n):
-        w = (np.asarray(pt, dtype=float) - xi.mu).reshape(1, n) * math.sqrt(y)
-        main += evaluate(f_th, one, w) * np.conj(evaluate(g_th, one, w))
-    main *= y ** (n / 2)
+    a = f_th.a - np.conj(g_th.a)
+    b = f_th.b - np.conj(g_th.b)
+    mu = (xi.mu - np.round(xi.mu)).reshape(1, -1)
+    ry = math.sqrt(y)
+    shift = y * (mu @ a @ mu.T)[0, 0] - 2 * ry * (mu @ b.T)[0, 0]
+    product = GaussianState(f_th.c * np.conj(g_th.c) * np.exp(1j * np.pi * shift),
+                            y * a, ry * b - y * (mu @ a))
+    main = y ** (xi.n / 2) * lattice_sum(product, one, tol).value
     actual = theta_sum_f(f, coords, xi, tol=tol).value \
         * np.conj(theta_sum_f(g, coords, xi, tol=tol).value)
     return complex(main), complex(actual), float(abs(actual - main))

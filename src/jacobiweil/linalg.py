@@ -16,6 +16,17 @@ from .errors import AsymmetryError, DomainError, EigenSolverError
 SYM_DEFECT_TOL = 1e-8
 
 
+def _sym(a, dtype, defect_tol: float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    defect = np.max(np.abs(a - a.T), initial=0.0)
+    scale = max(1.0, np.max(np.abs(a), initial=0.0))
+    if defect > defect_tol * scale:
+        raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
+    return 0.5 * (a + a.T)
+
+
 def real_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
     """Return the symmetrized copy of a real square matrix.
 
@@ -23,26 +34,12 @@ def real_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
     ``defect_tol`` (relative to the matrix scale) indicates a caller bug
     and raises instead of being silently absorbed.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    defect = np.max(np.abs(a - a.T), initial=0.0)
-    scale = max(1.0, np.max(np.abs(a), initial=0.0))
-    if defect > defect_tol * scale:
-        raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
-    return 0.5 * (a + a.T)
+    return _sym(a, float, defect_tol)
 
 
 def complex_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
     """Symmetrize a complex square matrix (same defect policy as real_sym)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    defect = np.max(np.abs(a - a.T), initial=0.0)
-    scale = max(1.0, np.max(np.abs(a), initial=0.0))
-    if defect > defect_tol * scale:
-        raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
-    return 0.5 * (a + a.T)
+    return _sym(a, complex, defect_tol)
 
 
 @dataclass(frozen=True)

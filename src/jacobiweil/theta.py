@@ -4,15 +4,13 @@ The engine evaluates sums of exp(pi i tr(M (xi Omega xi^T + 2 xi Z^T))) over
 xi in Z^(m,n) with sup-norm at most R, choosing R so that a proven upper
 bound for the omitted mass is below the requested tolerance.  Summation
 order is fixed (sup-norm shells, lexicographic within a shell, shells
-combined in order), so results are bit-identical across runs and worker
-counts.
+combined in order), so results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,29 +56,36 @@ def _tail_majorant(radius: int, dim: int, decay: float, drift: float) -> float:
     return 2.0 * shell_term(r0)
 
 
-def _lattice_shell(radius: int, dim: int):
-    """Points of Z^dim with sup norm exactly radius, lexicographic order."""
+def _lattice_shell(radius: int, dim: int) -> np.ndarray:
+    """Points of Z^dim with sup norm exactly radius, one per row, lexicographic order.
+
+    The faces x_0 = -radius and x_0 = radius carry the full (dim-1)-cube; the
+    slabs in between carry the (dim-1)-shell.
+    """
     if radius == 0:
-        yield (0,) * dim
-        return
-    rng = range(-radius, radius + 1)
-    for pt in itertools.product(rng, repeat=dim):
-        if max(abs(v) for v in pt) == radius:
-            yield pt
+        return np.zeros((1, dim), dtype=np.int64)
+    if dim == 1:
+        return np.array([[-radius], [radius]], dtype=np.int64)
+    face = np.indices((2 * radius + 1,) * (dim - 1)).reshape(dim - 1, -1).T - radius
+    inner = _lattice_shell(radius, dim - 1)
+    middle = np.arange(1 - radius, radius)
+    lead = np.concatenate([np.full(len(face), -radius), np.repeat(middle, len(inner)),
+                           np.full(len(face), radius)])
+    rest = np.concatenate([face, np.tile(inner, (len(middle), 1)), face])
+    return np.column_stack([lead, rest])
 
 
-def _shell_sum(state: GaussianState, m_index, radius: int):
-    """Exact-order sum of the state over one sup-norm shell (vectorized)."""
+def _shell_sum(state: GaussianState, mm: np.ndarray, radius: int) -> complex:
+    """Exact-order sum of the state over one sup-norm shell; ``mm`` is validated."""
     m, n = state.shape
-    pts = np.array(list(_lattice_shell(radius, m * n)), dtype=float)
-    xs = pts.reshape(-1, m, n)
-    quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, index_matrix(m_index))
-    lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, index_matrix(m_index))
+    xs = _lattice_shell(radius, m * n).astype(float).reshape(-1, m, n)
+    quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, mm)
+    lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, mm)
     vals = state.c * np.exp(1j * np.pi * (quad + lin))
     return complex(np.sum(vals))
 
 
-def lattice_sum(state: GaussianState, m_index, tol: float, threads: int = 1) -> ThetaValue:
+def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     """Sum the Gaussian state over Z^(m,n) with a certified truncation.
 
     The tail bound dominates |term(xi)| by
@@ -110,34 +115,28 @@ def lattice_sum(state: GaussianState, m_index, tol: float, threads: int = 1) -> 
             raise ResourceError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
     tail = amp * _tail_majorant(radius, dim, decay, drift)
 
-    radii = list(range(radius + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partial = list(pool.map(lambda r: _shell_sum(state, mm, r), radii))
-    else:
-        partial = [_shell_sum(state, mm, r) for r in radii]
     # fixed reduction order: shells in increasing radius
     total = 0j
-    for v in partial:
-        total += v
+    for r in range(radius + 1):
+        total += _shell_sum(state, mm, r)
     return ThetaValue(total, Truncation(radius, tail))
 
 
-def theta_M(m_index, p: SiegelJacobiPoint, tol: float, threads: int = 1) -> ThetaValue:
+def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
     """Theta(Omega, Z) = sum over Z^(m,n) of exp(pi i tr(M(xi O xi^T + 2 xi Z^T)))."""
     mm = index_matrix(m_index)
     state = GaussianState(1.0, p.omega, p.z)
-    return lattice_sum(state, mm, tol, threads=threads)
+    return lattice_sum(state, mm, tol)
 
 
-def siegel_theta(omega, tol: float, threads: int = 1) -> ThetaValue:
+def siegel_theta(omega, tol: float) -> ThetaValue:
     """Theta(Omega) = sum over A in Z^n of exp(pi i tr(A Omega A^T))."""
     omega = complex_sym(omega)
     if not is_positive_definite(omega.imag):
         raise DomainError("Omega must lie in the Siegel upper half space")
     n = omega.shape[0]
     state = GaussianState(1.0, omega, np.zeros((1, n)))
-    return lattice_sum(state, np.eye(1), tol, threads=threads)
+    return lattice_sum(state, np.eye(1), tol)
 
 
 def theta_weight_quarter(tau: complex, tol: float) -> complex:

@@ -229,8 +229,3 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
             best = (res, lift.eps)
     return best
 
-
-def check_covariance(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoint,
-                     branch: complex | str = "auto", grid=None) -> float:
-    """Covariance residual (see covariance_residual); returns the sup norm."""
-    return covariance_residual(m_index, word, h, p, branch=branch, grid=grid)[0]

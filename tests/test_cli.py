@@ -80,6 +80,25 @@ def test_cli_usage_errors(tmp_path, capsys):
     good = tmp_path / "unknown.json"
     good.write_text(json.dumps({"command": "fractal", "params": {}}))
     assert main(["--job", str(good)]) == 2
+    capsys.readouterr()
+    malformed = [
+        {"command": "theta", "params": {"M": [[2.0, 1.0], [0.0, 2.0]], "n": 1,
+                                        "omega": [[[0.0, 1.0]]],
+                                        "z": [[[0.0, 0.0]], [[0.0, 0.0]]]}},
+        {"command": "cocycle",
+         "params": {"type": "clm", "lagrangian": [[1.0], [0.0]],
+                    "g1": {"matrix": [[1.0, 1.0], [1.0, 1.0]]},
+                    "g2": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}},
+        {"command": "theta", "tol": "x",
+         "params": {"M": [[2.0]], "omega": [[[0.0, 1.0]]], "z": [[[0.0, 0.0]]]}},
+        {"command": "multiplicity", "params": {"m": "a", "n": 2, "taus": [2, 0]}},
+        [{"command": "maslov"}],
+    ]
+    for spec in malformed:
+        bad.write_text(json.dumps(spec))
+        assert main(["--job", str(bad)]) == 2, spec
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0]), spec
 
 
 def test_cli_resource_exit(tmp_path):

@@ -119,14 +119,24 @@ def test_asymptotic_main_term_example():
 
 
 def test_asymptotic_decay_rate():
-    f = ground_state(1)
-    xi = LatticePair([0.23], [0.5])
-    resid = {}
-    for y in (4.0, 16.0, 64.0):
-        coords = IwasawaCoords(0.37 + 1j * y, 0.0)
-        resid[y] = asymptotic_main_term(f, f, coords, xi)[2]
-    assert resid[16.0] < resid[4.0] * (4.0 / 16.0) ** 3
-    assert resid[64.0] < resid[16.0] * (16.0 / 64.0) ** 3
+    for xi in (LatticePair([0.23], [0.5]), LatticePair([0.23, -0.4], [0.5, 0.3])):
+        f = ground_state(xi.n)
+        resid = {}
+        for y in (4.0, 16.0, 64.0):
+            coords = IwasawaCoords(0.37 + 1j * y, 0.0)
+            resid[y] = asymptotic_main_term(f, f, coords, xi)[2]
+        assert resid[16.0] < resid[4.0] * (4.0 / 16.0) ** 3
+        assert resid[64.0] < resid[16.0] * (16.0 / 64.0) ** 3
+
+
+def test_asymptotic_main_term_integer_shift_of_mu():
+    # shifting mu by an integer only relabels the lattice in the main term
+    f = GaussianState(1.0, np.array([[0.2 + 1.4j]]), np.array([[0.15 + 0.1j]]))
+    coords = IwasawaCoords(0.21 + 4j, 1.3)
+    base = asymptotic_main_term(f, f, coords, LatticePair([0.31], [0.3]))[0]
+    for shift in (-8.0, 3.0, 12.0):
+        moved = asymptotic_main_term(f, f, coords, LatticePair([0.31], [0.3 + shift]))[0]
+        assert moved == pytest.approx(base, rel=1e-12)
 
 
 def test_asymptotic_main_term_large_y_dominant():

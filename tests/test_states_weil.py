@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement,
-                        SiegelJacobiPoint, check_covariance, covariant_map,
+                        SiegelJacobiPoint, covariant_map,
                         covariance_residual, evaluate, ground_state,
                         l2_norm_sq, sample_grid, schrodinger_apply,
                         state_distance, sw_heisenberg_apply, theta_M,
@@ -292,21 +292,21 @@ def test_stone_von_neumann_intertwining(rng):
 def test_covariance_identity_element(rng):
     p = rand_point(rng, 1, 1)
     h = HeisenbergElement(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    assert check_covariance(np.eye(1), [], h, p) < 1e-14
+    assert covariance_residual(np.eye(1), [], h, p)[0] < 1e-14
 
 
 def test_covariance_pure_heisenberg(rng):
     for _ in range(15):
         n, m = int(rng.choice([1, 2])), int(rng.choice([1, 2]))
         mm = rand_index(rng, m)
-        assert check_covariance(mm, [], rand_heisenberg(rng, n, m),
-                                rand_point(rng, n, m)) < 1e-10
+        assert covariance_residual(mm, [], rand_heisenberg(rng, n, m),
+                                   rand_point(rng, n, m))[0] < 1e-10
 
 
 def test_covariance_sigma_at_base_point():
     p = SiegelJacobiPoint(1j * np.eye(1), np.zeros((1, 1)))
     h = HeisenbergElement(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    assert check_covariance(np.eye(1), [("sigma", None)], h, p) < 1e-9
+    assert covariance_residual(np.eye(1), [("sigma", None)], h, p)[0] < 1e-9
 
 
 def test_covariance_fixed_branch_selects(rng):
@@ -317,8 +317,8 @@ def test_covariance_fixed_branch_selects(rng):
     res, eps = covariance_residual(mm, word, h, p)
     assert res < 1e-10
     # the reported branch reproduces the residual; the other one fails
-    assert check_covariance(mm, word, h, p, branch=eps) == pytest.approx(res)
-    assert check_covariance(mm, word, h, p, branch=-eps) > 0.1
+    assert covariance_residual(mm, word, h, p, branch=eps)[0] == pytest.approx(res)
+    assert covariance_residual(mm, word, h, p, branch=-eps)[0] > 0.1
 
 
 def test_calibration_regression(rng):
@@ -331,7 +331,7 @@ def test_calibration_regression(rng):
     mm = rand_index(rng, 1)
     p = rand_point(rng, 2, 1)
     h = rand_heisenberg(rng, 2, 1)
-    assert check_covariance(mm, [("t", np.eye(2) * 0.4)], h, p) < 1e-10
+    assert covariance_residual(mm, [("t", np.eye(2) * 0.4)], h, p)[0] < 1e-10
     # classical-scale Heisenberg action fails covariance: x-dependent defect
     f = covariant_map(mm, p)
     from jacobiweil import JacobiElement, SymplecticElement, jacobi_act

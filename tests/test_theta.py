@@ -15,6 +15,7 @@ from jacobiweil import (DomainError, ResourceError, SiegelJacobiPoint,
                         fourier_coefficient, lattice_sum, siegel_theta,
                         theta_M, theta_weight_quarter)
 from jacobiweil.states import GaussianState
+from jacobiweil.theta import _lattice_shell
 from jacobiweil.suites import rand_point
 
 THETA_M2_AT_I = 1.0037348854877393      # M = [2], Omega = i, Z = 0
@@ -122,11 +123,19 @@ def test_quarter_weight_domain():
         theta_weight_quarter(1.0 - 0.5j, 1e-10)
 
 
-def test_lattice_sum_thread_determinism(rng):
+def test_lattice_sum_repeat_determinism(rng):
     p = rand_point(rng, 2, 1)
     state = GaussianState(1.0, p.omega, p.z)
-    vals = [lattice_sum(state, np.eye(1), 1e-11, threads=t).value for t in (1, 2, 4)]
+    vals = [lattice_sum(state, np.eye(1), 1e-11).value for _ in range(3)]
     assert vals[0] == vals[1] == vals[2]
+
+
+def test_lattice_shell_matches_cube_filter():
+    for dim in range(1, 5):
+        for radius in range(7):
+            cube = itertools.product(range(-radius, radius + 1), repeat=dim)
+            expected = [pt for pt in cube if max(map(abs, pt)) == radius]
+            assert _lattice_shell(radius, dim).tolist() == [list(pt) for pt in expected]
 
 
 def test_lattice_sum_zero_state():
