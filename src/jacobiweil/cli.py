@@ -36,21 +36,38 @@ from .weil import covariance_residual
 SCHEMA = "1"
 
 
+# The two field readers test type() rather than isinstance(): JSON true/false
+# decode to bool, an int subclass.  int() and float() would turn 2.7 into 2
+# and false into 0.
+def _integer(name, value) -> int:
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _positive(name, value) -> float:
+    if not (type(value) in (int, float) and 0 < value < math.inf):
+        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _decode_word(spec):
-    word = []
-    for item in spec:
-        kind, par = item[0], item[1]
-        word.append((kind, None if par is None else serialize.decode_real_matrix(par)))
-    return word
+    if not (isinstance(spec, list)
+            and all(isinstance(item, list) and len(item) == 2 for item in spec)):
+        raise DomainError("word must be a list of [kind, parameter] pairs")
+    return [(kind, None if par is None else serialize.decode_real_matrix(par))
+            for kind, par in spec]
 
 
 def _job_theta(params, tol):
     tol = 1e-9 if tol is None else tol
     mm = serialize.decode_real_matrix(params["M"])
-    m = int(params.get("m", mm.shape[0]))
+    m = _integer("m", params.get("m", mm.shape[0]))
     n = params.get("n")
-    shape_o = (int(n), int(n)) if n is not None else None
-    shape_z = (m, int(n)) if n is not None else None
+    shape_o = shape_z = None
+    if n is not None:
+        n = _integer("n", n)
+        shape_o, shape_z = (n, n), (m, n)
     p = SiegelJacobiPoint(serialize.decode_complex_matrix(params["omega"], shape_o),
                           serialize.decode_complex_matrix(params["z"], shape_z))
     tv = theta_M(mm, p, tol)
@@ -60,7 +77,7 @@ def _job_theta(params, tol):
 
 def _job_theta_sum(params, tol):
     tol = 1e-9 if tol is None else tol
-    n = int(params["n"])
+    n = _integer("n", params["n"])
     f = serialize.decode_state(params["f"]) if "f" in params else ground_state(n)
     coords = IwasawaCoords(serialize.decode_complex(params["tau"]),
                            float(params.get("theta", 0.0)))
@@ -84,7 +101,7 @@ def _job_cocycle(params, tol):
     if variant == "sl2":
         val = cocycle_sl2(serialize.decode_real_matrix(params["M1"]),
                           serialize.decode_real_matrix(params["M2"]),
-                          int(params.get("n", 1)))
+                          _integer("n", params.get("n", 1)))
     elif variant == "clm":
         val = cocycle_clm(float(params.get("m", 1.0)),
                           Lagrangian(serialize.decode_real_matrix(params["lagrangian"])),
@@ -110,21 +127,25 @@ def _job_covariance(params, tol):
 
 def _job_casimir(params, tol):
     func = sample_function(params.get("function", "poly-exp"))
-    h = float(params.get("h", 1e-3))
-    val = casimir_km(func, int(params["k"]), int(params["m"]),
+    h = _positive("h", params.get("h", 1e-3))
+    val = casimir_km(func, _integer("k", params["k"]), _integer("m", params["m"]),
                      serialize.decode_complex(params["tau"]),
                      serialize.decode_complex(params["z"]), h)
     return {"value": serialize.encode_complex(val)}, {"step": h}, True
 
 
 def _job_multiplicity(params, tol):
-    val = multiplicity(params["taus"], int(params["m"]), int(params["n"]))
+    taus = params["taus"]
+    if not isinstance(taus, list):
+        raise DomainError("taus must be a list of integers")
+    val = multiplicity([_integer("taus", t) for t in taus],
+                       _integer("m", params["m"]), _integer("n", params["n"]))
     return {"multiplicity": val}, {}, True
 
 
 def _job_verify_suite(params, tol):
-    report = run_suite(params["name"], int(params.get("seed", 0)),
-                       int(params.get("count", 20)),
+    report = run_suite(params["name"], _integer("seed", params.get("seed", 0)),
+                       _integer("count", params.get("count", 20)),
                        None if tol is None else tol)
     cert = {"max_residual": report["max_residual"], "tol": report["tol"]}
     return report, cert, bool(report["passed"])
@@ -154,12 +175,11 @@ def run_job(spec: dict) -> tuple[dict, int]:
     if not isinstance(params, dict):
         raise DomainError("params must be an object")
     tol = spec.get("tol")
-    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
-    if tol is not None and not (type(tol) in (int, float) and 0 < tol < math.inf):
-        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
+    if tol is not None:
+        _positive("tol", tol)
     seed = spec.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if seed is not None:
+        _integer("seed", seed)
     outputs, certification, ok = _COMMANDS[command](params, tol)
     result = {
         "schema": SCHEMA,

@@ -28,10 +28,33 @@ SP_TOL = 1e-10
 HEIS_TOL = 1e-10
 
 
+_FORMS: dict[int, np.ndarray] = {}
+
+
 def symplectic_form(n: int) -> np.ndarray:
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    return np.block([[z, i], [-i, z]])
+    """``J = [[0, I], [-I, 0]]``: one shared, read-only array per n, built on first use."""
+    j = _FORMS.get(n)
+    if j is None:
+        i = np.eye(n)
+        j = _block([[None, i], [-i, None]], n)
+        j.flags.writeable = False
+        _FORMS[n] = j
+    return j
+
+
+def _block(rows, n: int) -> np.ndarray:
+    """The block matrix of a square grid of n x n float blocks, ``None`` a zero block.
+
+    Filled by slices into one preallocated array: the entries, signed zeros
+    included, equal those of numpy's ``block``, without its generic shape
+    handling, which dominated the cost of these small matrices.
+    """
+    out = np.zeros((len(rows) * n, len(rows) * n))
+    for r, row in enumerate(rows):
+        for c, blk in enumerate(row):
+            if blk is not None:
+                out[r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
+    return out
 
 
 @dataclass(frozen=True)
@@ -46,9 +69,11 @@ class SymplecticElement:
             raise DomainError(f"symplectic matrix must be 2n x 2n, got {g.shape}")
         n = g.shape[0] // 2
         j = symplectic_form(n)
-        if np.max(np.abs(g.T @ j @ g - j)) > SP_TOL * max(1.0, np.max(np.abs(g)) ** 2):
+        # max(1, x)**k equals max(1, x**k), so one scale serves both thresholds
+        scale = max(1.0, np.abs(g).max())
+        if np.abs(g.T @ j @ g - j).max() > SP_TOL * scale ** 2:
             raise InvariantViolation("matrix is not symplectic within tolerance")
-        if abs(np.linalg.det(g) - 1.0) > 1e-8 * max(1.0, np.max(np.abs(g)) ** (2 * n)):
+        if abs(np.linalg.det(g) - 1.0) > 1e-8 * scale ** (2 * n):
             raise InvariantViolation("symplectic matrix must have determinant 1")
         object.__setattr__(self, "g", g)
 
@@ -86,8 +111,8 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
     if kind == "t":
         b = real_sym(parameter)
         n = b.shape[0]
-        z = np.zeros((n, n))
-        return SymplecticElement(np.block([[np.eye(n), b], [z, np.eye(n)]]))
+        i = np.eye(n)
+        return SymplecticElement(_block([[i, b], [None, i]], n))
     if kind == "g":
         al = np.asarray(parameter, dtype=float)
         if al.ndim != 2 or al.shape[0] != al.shape[1]:
@@ -95,14 +120,12 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
         if abs(np.linalg.det(al)) < 1e-12:
             raise DomainError("alpha must be invertible")
         n = al.shape[0]
-        z = np.zeros((n, n))
-        return SymplecticElement(np.block([[al.T, z], [z, np.linalg.inv(al)]]))
+        return SymplecticElement(_block([[al.T, None], [None, np.linalg.inv(al)]], n))
     if kind == "sigma":
         if n is None:
             raise DomainError("sigma generator needs the dimension n")
-        z = np.zeros((n, n))
         i = np.eye(n)
-        return SymplecticElement(np.block([[z, -i], [i, z]]))
+        return SymplecticElement(_block([[None, -i], [i, None]], n))
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
@@ -308,4 +331,4 @@ def embed_sl2(mat, n: int) -> SymplecticElement:
         raise DomainError("matrix must have determinant 1")
     a, b, c, d = mat.ravel()
     i = np.eye(n)
-    return SymplecticElement(np.block([[a * i, b * i], [c * i, d * i]]))
+    return SymplecticElement(_block([[a * i, b * i], [c * i, d * i]], n))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import SymplecticElement, symplectic_form
+from .groups import SymplecticElement, _block, sp_generator, sp_identity, symplectic_form
 from .linalg import signature
 
 ISO_TOL = 1e-10
@@ -34,7 +34,7 @@ class Lagrangian:
             raise InvariantViolation("basis is rank deficient")
         j = symplectic_form(nn)
         iso = b.T @ j @ b
-        if np.max(np.abs(iso)) > ISO_TOL * max(1.0, sv[0] ** 2):
+        if np.abs(iso).max() > ISO_TOL * max(1.0, sv[0] ** 2):
             raise InvariantViolation("subspace is not isotropic")
         object.__setattr__(self, "basis", b)
 
@@ -80,8 +80,7 @@ def maslov3(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     g12 = l1.basis.T @ j @ l2.basis
     g23 = l2.basis.T @ j @ l3.basis
     g31 = l3.basis.T @ j @ l1.basis
-    z = np.zeros((nn, nn))
-    gram = 0.5 * np.block([[z, g12, g31.T], [g12.T, z, g23], [g31, g23.T, z]])
+    gram = 0.5 * _block([[None, g12, g31.T], [g12.T, None, g23], [g31, g23.T, None]], nn)
     return signature(gram).net
 
 
@@ -122,8 +121,6 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
 def random_symplectic(rng: np.random.Generator, n: int, letters: int = 4,
                       scale: float = 0.6) -> SymplecticElement:
     """Random word in the t/g/sigma generators; exact group membership."""
-    from .groups import sp_generator, sp_identity
-
     g = sp_identity(n)
     for _ in range(rng.integers(1, letters + 1)):
         kind = rng.choice(["t", "g", "sigma"])

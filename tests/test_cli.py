@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jacobiweil import GaussianState, JacobiElement
 from jacobiweil import serialize
 from jacobiweil.cli import main, run_job
 from jacobiweil.maslov import random_symplectic
-from jacobiweil.suites import rand_heisenberg, rand_point
+from jacobiweil.suites import SUITES, rand_heisenberg, rand_point
 
 
 def test_serialize_roundtrips(rng):
@@ -93,12 +97,88 @@ def test_cli_usage_errors(tmp_path, capsys):
          "params": {"M": [[2.0]], "omega": [[[0.0, 1.0]]], "z": [[[0.0, 0.0]]]}},
         {"command": "multiplicity", "params": {"m": "a", "n": 2, "taus": [2, 0]}},
         [{"command": "maslov"}],
+        # integer fields are not truncated, and a bool is not an integer
+        {"command": "multiplicity", "params": {"m": 2.7, "n": 2, "taus": [2, 0]}},
+        {"command": "multiplicity", "params": {"m": True, "n": 2, "taus": [2, 0]}},
+        {"command": "multiplicity", "params": {"m": 2, "n": 2, "taus": [2.5, 0]}},
+        {"command": "verify-suite", "params": {"name": "cocycles", "seed": 1.5, "count": 2.9}},
+        {"command": "theta-sum", "params": {"n": 1.9, "tau": [0.0, 1.0]}},
+        {"command": "casimir", "params": {"function": "constant", "k": 2.0, "m": 1,
+                                          "tau": [0.2, 1.1], "z": [0.1, 0.2]}},
+        {"command": "casimir", "params": {"function": "constant", "k": 2, "m": 1, "h": False,
+                                          "tau": [0.2, 1.1], "z": [0.1, 0.2]}},
+        {"command": "covariance", "params": {"M": [[1.0]], "word": {"c": -1}}},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))
         assert main(["--job", str(bad)]) == 2, spec
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0]), spec
+
+
+# One valid, cheap params object per command; the property test keeps, drops or
+# replaces each field, so specs reach past the first check of every job.
+VALID_PARAMS = {
+    "theta": {"M": [[2.0]], "omega": [[[0.0, 1.0]]], "z": [[[0.0, 0.0]]], "n": 1, "m": 1},
+    "theta-sum": {"n": 1, "tau": [0.0, 1.0], "theta": 0.0, "lambda": [0.0], "mu": [0.0],
+                  "t": 0.0, "f": {"c": [1.0, 0.0], "A": [[[0.0, 1.0]]], "B": [[[0.0, 0.0]]]}},
+    "maslov": {"lagrangians": [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]]]},
+    "cocycle": {"type": "clm", "m": 1.0, "lagrangian": [[1.0], [0.0]], "n": 1,
+                "M1": [[0.0, -1.0], [1.0, 0.0]], "M2": [[1.0, 0.0], [1.0, 1.0]],
+                "g1": {"matrix": [[0.0, -1.0], [1.0, 0.0]]},
+                "g2": {"matrix": [[1.0, 0.0], [1.0, 1.0]]}},
+    "covariance": {"M": [[1.0]], "word": [["sigma", None], ["t", [[0.4]]], ["g", [[2.0]]]],
+                   "heisenberg": {"lambda": [[0.1]], "mu": [[0.2]], "kappa": [[0.0]]},
+                   "point": {"omega": [[[0.1, 1.2]]], "z": [[[0.1, 0.3]]]}, "branch": "auto"},
+    "verify-suite": {"name": "cocycles", "seed": 1, "count": 2},
+    "casimir": {"function": "constant", "k": 2, "m": 1, "tau": [0.2, 1.1], "z": [0.1, 0.2],
+                "h": 1e-3},
+    "multiplicity": {"m": 2, "n": 2, "taus": [2, 0]},
+}
+_SCALARS = (st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-4, 4)
+            | st.sampled_from(["", "sl2", "clm", "t", "g", "sigma", "constant", *SUITES]))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["c", "A", "B", "lambda", "mu", "kappa", "omega", "z", "matrix"]),
+    inner, max_size=3), max_leaves=10)
+
+
+@st.composite
+def job_specs(draw):
+    command = draw(st.sampled_from(sorted(VALID_PARAMS)))
+    params = {}
+    for key, value in VALID_PARAMS[command].items():
+        action = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if action != "drop":
+            params[key] = value if action == "keep" else draw(_JSON)
+    spec = {"command": command, "params": params}
+    if draw(st.booleans()):
+        spec["tol"] = draw(_JSON | st.floats(1e-16, 1e-3))
+    if draw(st.booleans()):
+        spec["seed"] = draw(_JSON)
+    return spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(job_specs())
+def test_cli_contract_property(spec):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(spec))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["--job", "-"])
+    finally:
+        sys.stdin = saved
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    doc = json.loads(lines[0])
+    assert isinstance(doc, dict)
+    assert code in (0, 1, 2, 3)
+    if "error" in doc:
+        assert code in (2, 3)
+    else:
+        assert code == (0 if doc["passed"] else 1)
 
 
 def test_cli_resource_exit(tmp_path):

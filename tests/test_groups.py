@@ -8,7 +8,9 @@ from jacobiweil import (DomainError, HeisenbergElement, IwasawaCoords,
                         embed_sl2, heis_conjugate, heis_identity, heis_mul,
                         is_positive_definite, iwasawa_matrix, iwasawa_sl2,
                         jacobi_act, jacobi_identity, jacobi_mul, sl2_act_circle,
-                        sp_generator)
+                        sp_generator, symplectic_form)
+from jacobiweil.errors import InvariantViolation
+from jacobiweil.linalg import real_sym
 from jacobiweil.suites import rand_heisenberg, rand_point, rand_sl2
 from jacobiweil.maslov import random_symplectic
 
@@ -250,3 +252,44 @@ def test_embed_sl2(rng):
         m1, m2 = rand_sl2(rng), rand_sl2(rng)
         lhs = embed_sl2(m1, 2) @ embed_sl2(m2, 2)
         assert np.allclose(lhs.g, embed_sl2(m1 @ m2, 2).g, atol=1e-10)
+
+
+# --- construction: validation and block assembly ------------------------------
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_symplectic_element_validates():
+    with pytest.raises(InvariantViolation):
+        SymplecticElement(np.diag([2.0, 2.0]))
+    with pytest.raises(DomainError):
+        SymplecticElement(np.eye(3))
+
+
+def test_symplectic_form_is_shared_and_read_only():
+    j = symplectic_form(2)
+    assert symplectic_form(2) is j
+    with pytest.raises(ValueError):
+        j[0, 0] = 1.0
+    assert np.array_equal(j, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+
+
+def test_block_assembly_matches_np_block(rng):
+    # bit-identical to np.block, signed zeros of -I and of c * I included
+    for n in range(1, 5):
+        z, i = np.zeros((n, n)), np.eye(n)
+        assert same_bits(symplectic_form(n), np.block([[z, i], [-i, z]]))
+        b = rng.normal(size=(n, n))
+        b = b + b.T
+        ref = np.block([[i, real_sym(b)], [z, i]])
+        assert same_bits(sp_generator("t", b).g, ref)
+        al = i + 0.3 * rng.normal(size=(n, n))
+        ref = np.block([[al.T, z], [z, np.linalg.inv(al)]])
+        assert same_bits(sp_generator("g", al).g, ref)
+        assert same_bits(sp_generator("sigma", n=n).g, np.block([[z, -i], [i, z]]))
+        for m in (rand_sl2(rng), np.array([[-1.0, 0.0], [0.0, -1.0]])):
+            a, bb, c, d = m.ravel()
+            ref = np.block([[a * i, bb * i], [c * i, d * i]])
+            assert same_bits(embed_sl2(m, n).g, ref)

@@ -9,6 +9,7 @@ from jacobiweil import (DomainError, Lagrangian, SymplecticElement,
                         intersection_dim, maslov3, maslov_chain,
                         momentum_lagrangian, random_lagrangian,
                         random_symplectic, tau_ell)
+import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
 from jacobiweil.suites import rand_sl2, suite_maslov_axioms
 
@@ -141,3 +142,25 @@ def test_cocycle_condition(rng):
         lhs = cocycle_clm(1.0, l, g1 @ g2, g3) * cocycle_clm(1.0, l, g1, g2)
         rhs = cocycle_clm(1.0, l, g1, g2 @ g3) * cocycle_clm(1.0, l, g2, g3)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_maslov3_gram_matches_np_block(rng, monkeypatch):
+    grams = []
+    real_signature = maslov_mod.signature
+
+    def capture(gram):
+        grams.append(gram)
+        return real_signature(gram)
+
+    monkeypatch.setattr(maslov_mod, "signature", capture)
+    for n in range(1, 5):
+        for _ in range(5):
+            ls = [random_lagrangian(rng, n) for _ in range(3)]
+            x1, x2, x3 = (l.basis for l in ls)
+            z, i = np.zeros((n, n)), np.eye(n)
+            j = np.block([[z, i], [-i, z]])
+            g12, g23, g31 = x1.T @ j @ x2, x2.T @ j @ x3, x3.T @ j @ x1
+            ref = 0.5 * np.block([[z, g12, g31.T], [g12.T, z, g23], [g31, g23.T, z]])
+            index = maslov3(*ls)
+            assert grams[-1].tobytes() == ref.tobytes() and grams[-1].shape == ref.shape
+            assert index == real_signature(ref).net
