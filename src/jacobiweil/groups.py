@@ -67,10 +67,15 @@ class SymplecticElement:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise DomainError(f"symplectic matrix must be 2n x 2n, got {g.shape}")
+        top = np.abs(g).max()
+        if not top < math.inf:
+            # a NaN entry makes top NaN; every comparison with NaN is false,
+            # so the checks below would pass it
+            raise DomainError("symplectic matrix must have finite entries")
         n = g.shape[0] // 2
         j = symplectic_form(n)
         # max(1, x)**k equals max(1, x**k), so one scale serves both thresholds
-        scale = max(1.0, np.abs(g).max())
+        scale = max(1.0, top)
         if np.abs(g.T @ j @ g - j).max() > SP_TOL * scale ** 2:
             raise InvariantViolation("matrix is not symplectic within tolerance")
         if abs(np.linalg.det(g) - 1.0) > 1e-8 * scale ** (2 * n):

@@ -7,6 +7,7 @@ of order-2 accuracy; the third-order stencil is the 5-point centered one.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,8 @@ def casimir_km(func, k: int, m: int, tau: complex, z: complex, h: float = 1e-3) 
     """
     if m <= 0:
         raise DomainError("index m must be positive")
+    if not 0 < h < math.inf:
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
     if tau.imag <= 8 * h:
         raise DomainError("step too large relative to Im(tau)")
     d = lambda *letters: wirtinger_partial(func, tau, z, letters, h)
@@ -124,6 +127,9 @@ def multiplicity(taus, m: int, n: int) -> int:
     if m < 1 or n < 1:
         raise DomainError("m and n must be positive")
     s = min(m, n)
+    # int() would truncate 2.7 to 2; a bool is not a tau entry either
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in taus):
+        raise DomainError(f"tau entries must be integers, got {list(taus)!r}")
     taus = [int(t) for t in taus]
     if len(taus) > s:
         if any(t != 0 for t in taus[s:]):

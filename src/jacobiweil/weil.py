@@ -9,8 +9,16 @@ The module realizes three layers:
 * the three Weil generator operators t(b), g(alpha), sigma_n, frozen at the
   calibrated SW normalization (see ``test_calibration_regression``), plus
   word application with a phase log;
-* the Iwasawa operators: a ground-state-pinned rotation flow R~(i, theta)
-  and the full R~(tau, theta), which is what the theta-sum machinery uses.
+* the Iwasawa operators: the ground-state-pinned rotation flow
+  R~(i, theta) and the full R~(tau, theta), which is what the theta-sum
+  machinery uses.  The rotation is applied in closed form, with
+  D = cos theta I + sin theta A:  A -> (A cos theta - sin theta I) D^{-1},
+  B -> B D^{-1}, c -> c det(D)^{-m/2} exp(-pi i sin theta tr(M B D^{-1} B^T)).
+  The square root det(D)^{-m/2} takes the branch continued from theta = 0
+  through the eigenvalues of A, which pins the ground-state eigenvalue to
+  exp(-i m n theta / 2) and gives R~(theta + 2 pi) = (-1)^{mn} R~(theta)
+  (see ``sw_rotation_apply``).  ``rotation_word`` is the same rotation as a
+  t/g/sigma generator word, the reference the closed form is tested against.
 
 Calibration note: the e^{2 pi i} Heisenberg/t(b) exponents and the
 e^{-4 pi i} sigma kernel are mutually consistent as a projective package,
@@ -22,7 +30,6 @@ The constants below are frozen by a regression test against that relation.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -32,8 +39,8 @@ from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, IwasawaCoords, jacobi_act, sp_generator)
 from .linalg import holo_sqrt_det, principal_pow_half, real_sym
-from .states import (GaussianState, covariant_map, evaluate, ground_state,
-                     index_matrix, sample_grid)
+from .states import (GaussianState, covariant_map, evaluate, index_matrix,
+                     sample_grid)
 
 # Exponent scales of the frozen Schroedinger-Weil package, in units of the
 # classical normalization: Heisenberg and t(b) exponents carry
@@ -138,7 +145,8 @@ def rotation_word(theta: float, n: int) -> list:
     The angle is split into exact quarter turns (sigma letters) plus a
     remainder |th| <= pi/4 realized by the well-conditioned three-factor
     decomposition k_th = t(-tan(th/2)) nbar(sin th) t(-tan(th/2)) with
-    nbar(u) = g(-I) sigma t(-u) sigma.
+    nbar(u) = g(-I) sigma t(-u) sigma.  ``sw_rotation_apply`` applies the
+    same rotation in closed form; the word is its test reference.
     """
     quarter = int(np.round(theta / (math.pi / 2)))
     th = theta - quarter * math.pi / 2
@@ -151,26 +159,42 @@ def rotation_word(theta: float, n: int) -> list:
 
 
 def sw_rotation_apply(m_index, theta: float, f: GaussianState) -> GaussianState:
-    """The pinned rotation operator R~(i, theta).
+    """The pinned rotation operator R~(i, theta), in closed form.
 
-    The generator word realizes the rotation up to a unit phase depending on
-    the word; the phase is pinned so that the ground state is an eigenvector
-    with eigenvalue exp(-i m n theta / 2) (the oscillator ground level).
-    Unreduced theta keeps the double-cover behaviour:
-    R~(i, theta + 2 pi) = (-1)^{mn} R~(i, theta).
+    k_theta = [[cos I, -sin I], [sin I, cos I]] acts on the Gaussian through
+    D = cos theta I + sin theta A:
+
+        A' = (A cos theta - sin theta I) D^{-1},    B' = B D^{-1},
+        c' = c det(D)^{-m/2} exp(-pi i sin theta tr(M B D^{-1} B^T)).
+
+    The branch of det(D)^{-m/2} is continued from theta = 0, one eigenvalue
+    lambda_j of A at a time (Im lambda_j > 0, so no factor of D crosses zero):
+    with k = floor(theta / pi), theta' = theta - k pi and
+    phi_j = cos theta' + lambda_j sin theta', which lies in the closed upper
+    half plane,
+
+        log det D = sum_j log|phi_j| + i sum_j (k pi + atan2(max(Im phi_j, 0), Re phi_j)).
+
+    So the ground state is an eigenvector with eigenvalue exp(-i m n theta / 2)
+    (the oscillator ground level), and unreduced theta keeps the double-cover
+    behaviour R~(i, theta + 2 pi) = (-1)^{mn} R~(i, theta).  This is the
+    generator word ``rotation_word`` pinned on the ground state, without
+    applying the word.
     """
     mm = index_matrix(m_index)
+    if f.c == 0:
+        return f
     m, n = f.shape
-    word = rotation_word(theta, n)
-    if not word:
-        # k_theta reduced to the identity word; the pin still carries the
-        # double-cover phase (theta a multiple of 2 pi need not act trivially)
-        return f.scaled(cmath.exp(-1j * m * n * theta / 2))
-    base = ground_state(n, m)
-    zeta, _ = weil_apply_word(mm, word, base)
-    pin = cmath.exp(-1j * m * n * theta / 2) / zeta.c
-    out, _ = weil_apply_word(mm, word, f)
-    return out.scaled(pin)
+    cos, sin = math.cos(theta), math.sin(theta)
+    d_inv = np.linalg.inv(cos * np.eye(n) + sin * f.a)
+    k = math.floor(theta / math.pi)
+    th = theta - k * math.pi
+    phi = math.cos(th) + math.sin(th) * np.linalg.eigvals(f.a)
+    arg = sum(k * math.pi + math.atan2(max(p.imag, 0.0), p.real) for p in phi)
+    log_det = np.log(np.abs(phi)).sum() + 1j * arg
+    b2 = f.b @ d_inv
+    c2 = f.c * np.exp(-m / 2 * log_det - 1j * np.pi * sin * np.trace(mm @ b2 @ f.b.T))
+    return GaussianState(c2, (cos * f.a - sin * np.eye(n)) @ d_inv, b2)
 
 
 def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState,

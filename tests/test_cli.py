@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -108,6 +109,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         {"command": "casimir", "params": {"function": "constant", "k": 2, "m": 1, "h": False,
                                           "tau": [0.2, 1.1], "z": [0.1, 0.2]}},
         {"command": "covariance", "params": {"M": [[1.0]], "word": {"c": -1}}},
+        # json reads NaN; a NaN matrix is a usage error, not an SVD failure (exit 3)
+        {"command": "cocycle",
+         "params": {"type": "clm", "lagrangian": [[1.0], [0.0]],
+                    "g1": {"matrix": [[math.nan, math.nan], [math.nan, math.nan]]},
+                    "g2": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))

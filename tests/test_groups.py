@@ -266,6 +266,10 @@ def test_symplectic_element_validates():
         SymplecticElement(np.diag([2.0, 2.0]))
     with pytest.raises(DomainError):
         SymplecticElement(np.eye(3))
+    # NaN fails every comparison, so only an explicit finiteness check refuses it
+    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0]])):
+        with pytest.raises(DomainError):
+            SymplecticElement(bad)
 
 
 def test_symplectic_form_is_shared_and_read_only():

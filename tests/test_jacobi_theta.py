@@ -6,8 +6,10 @@ import pytest
 
 from jacobiweil import (GaussianState, IwasawaCoords, LatticePair,
                         asymptotic_main_term, check_gamma_invariance,
-                        gamma_n_generators, ground_state, state_distance,
-                        sw_rotation_apply, theta_sum_f)
+                        gamma_n_generators, ground_state, rotation_word,
+                        state_distance, sw_rotation_apply, theta_sum_f,
+                        weil_apply_word)
+from jacobiweil import weil
 
 SIEGEL_AT_I = 1.0864348112133082
 
@@ -74,6 +76,66 @@ def test_rotation_double_cover_sign():
     f = ground_state(1)
     out = sw_rotation_apply(one, 2 * math.pi, f)
     assert state_distance(out, f.scaled(-1.0), one) < 1e-10
+
+
+def _word_rotation_reference(m_index, theta, f):
+    """The pinned rotation as a generator word applied twice: once to the
+    ground state, whose amplitude fixes the pin exp(-i m n theta / 2), then
+    to f.  Reference for the closed form of sw_rotation_apply."""
+    m, n = f.shape
+    word = rotation_word(theta, n)
+    pin = cmath.exp(-1j * m * n * theta / 2)
+    if not word:
+        return f.scaled(pin)
+    zeta, _ = weil_apply_word(m_index, word, ground_state(n, m))
+    out, _ = weil_apply_word(m_index, word, f)
+    return out.scaled(pin / zeta.c)
+
+
+def _rand_index(rng, m):
+    x = rng.normal(size=(m, m))
+    return x @ x.T + 0.5 * np.eye(m)
+
+
+def _rand_state(rng, m, n):
+    f = rand_schwartz_state(rng, n)
+    b = 0.3 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    return GaussianState(f.c, f.a, b)
+
+
+def test_rotation_closed_form_matches_word_reference(rng):
+    # tolerances fixed from float64 before the closed form was written:
+    # relative 1e-10 on the amplitude, 1e-12 (relative to max(1, |entry|)) on A and B
+    quarters = [k * math.pi / 2 for k in range(-8, 9)]
+    ulps = [np.nextafter(q, s) for q in quarters for s in (-math.inf, math.inf)]
+    for n in (1, 2, 3):
+        for m in (1, 2):
+            thetas = quarters + ulps + list(rng.uniform(-4 * math.pi, 4 * math.pi, 30))
+            for theta in thetas:
+                mm = _rand_index(rng, m)
+                f = _rand_state(rng, m, n)
+                got = sw_rotation_apply(mm, theta, f)
+                ref = _word_rotation_reference(mm, theta, f)
+                case = (n, m, theta)
+                assert abs(got.c - ref.c) <= 1e-10 * abs(ref.c), case
+                for x, y in ((got.a, ref.a), (got.b, ref.b)):
+                    assert np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max()), case
+    # the zero state may carry a real A, for which D is singular at theta = pi/2
+    zero = GaussianState(0.0, np.zeros((1, 1)), np.zeros((1, 1)))
+    assert sw_rotation_apply(np.eye(1), math.pi / 2, zero).c == 0
+
+
+def test_rotation_applies_no_generator(monkeypatch, rng):
+    calls = []
+    original = weil.weil_generator_apply
+    monkeypatch.setattr(weil, "weil_generator_apply",
+                        lambda *args: calls.append(args[1]) or original(*args))
+    f = rand_schwartz_state(rng, 2)
+    weil.sw_rotation_apply(np.eye(1), 1.3, f)
+    assert calls == []
+    # the counter sees the two letters that follow the rotation in R~(tau, theta)
+    weil.sw_iwasawa_apply(np.eye(1), IwasawaCoords(0.3 + 1.2j, 1.3), f)
+    assert len(calls) == 2
 
 
 def test_gamma_invariance_all_generators(rng):

@@ -153,6 +153,14 @@ def test_multiplicity_validation():
         multiplicity([0, 3], 2, 1)
 
 
+def test_multiplicity_integer_taus():
+    # numpy integers are integers; 2.7 is not truncated to 2, and a bool is refused
+    assert multiplicity(np.array([2, 0]), 2, 2) == 3
+    for taus in ([2.7, 0], [2.0, 0], [True, 0], ["2", 0]):
+        with pytest.raises(DomainError):
+            multiplicity(taus, 2, 2)
+
+
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(1, 4))
 def test_multiplicity_always_positive_integer(taus, m):
     taus = sorted(taus, reverse=True)[:m]
@@ -166,6 +174,10 @@ def test_casimir_step_guard():
         casimir_km(sample_function("constant"), 2, 1, 0.1 + 0.005j, 0.0j, h=1e-3)
     with pytest.raises(DomainError):
         casimir_km(sample_function("constant"), 2, 0, 1j, 0.0j, h=1e-3)
+    # the step must be positive and finite; h = 0 would divide by zero
+    for h in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            casimir_km(sample_function("constant"), 2, 1, 0.2 + 1.1j, 0.1 + 0.2j, h)
 
 
 def _ssyt_count(shape, m):
