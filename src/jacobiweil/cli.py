@@ -59,6 +59,12 @@ def _decode_word(spec):
             for kind, par in spec]
 
 
+def _certification(tv) -> dict:
+    t = tv.truncation
+    return {"radius": t.radius, "tail_bound": t.tail_bound, "terms": t.terms,
+            "roundoff_bound": t.roundoff_bound}
+
+
 def _job_theta(params, tol):
     tol = 1e-9 if tol is None else tol
     mm = serialize.decode_real_matrix(params["M"])
@@ -71,8 +77,7 @@ def _job_theta(params, tol):
     p = SiegelJacobiPoint(serialize.decode_complex_matrix(params["omega"], shape_o),
                           serialize.decode_complex_matrix(params["z"], shape_z))
     tv = theta_M(mm, p, tol)
-    return {"value": serialize.encode_complex(tv.value)}, {
-        "radius": tv.truncation.radius, "tail_bound": tv.truncation.tail_bound}, True
+    return {"value": serialize.encode_complex(tv.value)}, _certification(tv), True
 
 
 def _job_theta_sum(params, tol):
@@ -84,8 +89,7 @@ def _job_theta_sum(params, tol):
     xi = LatticePair(np.asarray(params.get("lambda", [0.0] * n), dtype=float),
                      np.asarray(params.get("mu", [0.0] * n), dtype=float))
     tv = theta_sum_f(f, coords, xi, t=float(params.get("t", 0.0)), tol=tol)
-    return {"value": serialize.encode_complex(tv.value)}, {
-        "radius": tv.truncation.radius, "tail_bound": tv.truncation.tail_bound}, True
+    return {"value": serialize.encode_complex(tv.value)}, _certification(tv), True
 
 
 def _job_maslov(params, tol):

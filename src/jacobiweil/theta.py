@@ -1,10 +1,14 @@
-"""Truncated lattice sums with certified tail bounds.
+"""Truncated lattice sums with certified tail and roundoff bounds.
 
 The engine evaluates sums of exp(pi i tr(M (xi Omega xi^T + 2 xi Z^T))) over
-xi in Z^(m,n) with sup-norm at most R, choosing R so that a proven upper
-bound for the omitted mass is below the requested tolerance.  Summation
-order is fixed (sup-norm shells, lexicographic within a shell, shells
-combined in order), so results are bit-identical across runs.
+xi in Z^(m,n) with sup-norm at most R, choosing the least R for which a proven
+upper bound on the omitted mass is below the requested tolerance.  Terms are
+evaluated in blocks of consecutive sup-norm shells, one numpy pass per block:
+one exponent evaluation, one ``exp``, and one ``np.bincount`` on the sup
+norm for the shell sums.  Summation order is fixed (lexicographic within a
+shell, shell sums added to the total in increasing radius), so results are
+bit-identical across runs.  Each result also carries a first-order bound on
+the floating-point error of that evaluation (``Truncation.roundoff_bound``).
 """
 
 from __future__ import annotations
@@ -21,12 +25,22 @@ from .linalg import complex_sym, is_positive_definite
 from .states import GaussianState, index_matrix
 
 RADIUS_CAP = 10_000
+# terms per numpy pass: consecutive shells are grouped up to this many terms (a
+# larger shell is a block of its own), so memory is bounded by one block, not
+# by the ball
+_BLOCK_TERMS = 4096
 
 
 @dataclass(frozen=True)
 class Truncation:
+    """How a lattice sum was cut off: the sup-norm radius, the bound on the
+    omitted terms, the number of terms summed, and the bound on the
+    floating-point error of their sum (see ``lattice_sum``)."""
+
     radius: int
     tail_bound: float
+    terms: int = 0
+    roundoff_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -56,33 +70,48 @@ def _tail_majorant(radius: int, dim: int, decay: float, drift: float) -> float:
     return 2.0 * shell_term(r0)
 
 
-def _lattice_shell(radius: int, dim: int) -> np.ndarray:
-    """Points of Z^dim with sup norm exactly radius, one per row, lexicographic order.
+def _lattice_annulus(r0: int, r1: int, dim: int) -> np.ndarray:
+    """Points of Z^dim with sup norm in [r0, r1], one per column, in
+    lexicographic order.
 
-    The faces x_0 = -radius and x_0 = radius carry the full (dim-1)-cube; the
-    slabs in between carry the (dim-1)-shell.
+    Coordinate 0 runs over [-r1, r1].  Where |x_0| >= r0 the other
+    coordinates range over the full (dim-1)-cube of radius r1; in between
+    they range over the (dim-1)-annulus.
     """
-    if radius == 0:
-        return np.zeros((1, dim), dtype=np.int64)
+    neg, pos = np.arange(-r1, 1 - r0), np.arange(max(r0, 1), r1 + 1)
     if dim == 1:
-        return np.array([[-radius], [radius]], dtype=np.int64)
-    face = np.indices((2 * radius + 1,) * (dim - 1)).reshape(dim - 1, -1).T - radius
-    inner = _lattice_shell(radius, dim - 1)
-    middle = np.arange(1 - radius, radius)
-    lead = np.concatenate([np.full(len(face), -radius), np.repeat(middle, len(inner)),
-                           np.full(len(face), radius)])
-    rest = np.concatenate([face, np.tile(inner, (len(middle), 1)), face])
-    return np.column_stack([lead, rest])
+        return np.concatenate([neg, pos])[None]
+    cube = np.indices((2 * r1 + 1,) * (dim - 1)).reshape(dim - 1, -1) - r1
+    middle = np.arange(1 - r0, r0)
+    inner = _lattice_annulus(r0, r1, dim - 1) if r0 > 0 else cube[:, :0]
+    lead = np.concatenate([np.repeat(neg, cube.shape[1]), np.repeat(middle, inner.shape[1]),
+                           np.repeat(pos, cube.shape[1])])
+    rest = np.concatenate([np.tile(cube, len(neg)), np.tile(inner, len(middle)),
+                           np.tile(cube, len(pos))], axis=1)
+    return np.vstack([lead, rest])
 
 
-def _shell_sum(state: GaussianState, mm: np.ndarray, radius: int) -> complex:
-    """Exact-order sum of the state over one sup-norm shell; ``mm`` is validated."""
-    m, n = state.shape
-    xs = _lattice_shell(radius, m * n).astype(float).reshape(-1, m, n)
-    quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, mm)
-    lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, mm)
-    vals = state.c * np.exp(1j * np.pi * (quad + lin))
-    return complex(np.sum(vals))
+def _lattice_shell(radius: int, dim: int) -> np.ndarray:
+    """Points of Z^dim with sup norm exactly radius, one per row, lexicographic order."""
+    return _lattice_annulus(radius, radius, dim).T
+
+
+def _shell_blocks(radius: int, dim: int):
+    """Yield (r0, points) for the shells 0..radius, grouped into blocks.
+
+    A block is the annulus of the consecutive shells r0..r1 (see
+    ``_lattice_annulus``), as a (dim, count) float array.  It takes shells
+    while their total stays within ``_BLOCK_TERMS`` terms.
+    """
+    sizes = [1] + [(2 * r + 1) ** dim - (2 * r - 1) ** dim for r in range(1, radius + 1)]
+    r0 = 0
+    while r0 <= radius:
+        r1, count = r0, sizes[r0]
+        while r1 < radius and count + sizes[r1 + 1] <= _BLOCK_TERMS:
+            r1 += 1
+            count += sizes[r1]
+        yield r0, _lattice_annulus(r0, r1, dim).astype(float)
+        r0 = r1 + 1
 
 
 def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
@@ -91,42 +120,103 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     The tail bound dominates |term(xi)| by
     exp(-pi a ||xi||_inf^2 + 2 pi c sqrt(mn) ||xi||_inf) with
     a = lambda_min(M) lambda_min(Im A) and c = ||M Im B||_F, then applies
-    the shell majorant.  The certificate bounds the truncation error in exact
-    arithmetic; when Im B makes individual terms huge the float result also
-    carries roundoff at the scale of the largest term.  Raises ResourceError
-    if the radius cap is hit.
+    the shell majorant.  The radius is the least R >= 1 whose majorant, times
+    |c|, is at most ``tol``: a geometric bracket, then bisection (once the
+    majorant is finite it at least halves with each step of R).  Raises
+    ResourceError if the bracket passes the radius cap.
+
+    With x = vec(xi) (d = mn entries), term k is t_k = c exp(z_k), where
+    z_k = i sum_i x_i (sum_j G_ij x_j + h_i), G = pi M kron A and
+    h = 2 pi vec(M B); the real and imaginary parts are evaluated as real
+    arrays.  Terms are evaluated in blocks of consecutive shells of at most
+    ``_BLOCK_TERMS`` terms, with one ``exp`` per block.  Within a block the
+    points are in lexicographic order and ``np.bincount`` on their sup norm
+    sums each shell in that order; the shell sums are added to the total in
+    increasing radius.
+
+    ``roundoff_bound`` is k eps sum_k |t_k| (1 + zeta_k + N) with
+    k = d + (m + 8) / 2, eps = 2u the double epsilon and N the number of
+    terms.  On the shell of radius r, zeta_k = r^2 sum_ij |G_ij| +
+    r sum_i |h|_i, with |h| = 2 pi vec(|M| |B|), which bounds the exponent
+    evaluated with every entry replaced by its absolute value, and so |z_k|.
+    Derivation, to first order in u: the entries of G carry relative error
+    3u (the product M A, the rounding of pi, the product with pi), those of
+    h (m + 2)u (a length-m dot product, then 2 pi).  Evaluating z_k adds
+    2d + 1 roundings to each partial product, so |z_k error| <= (2d + m + 3)
+    u zeta_k (componentwise, then Minkowski's inequality).  An exponent
+    error delta moves t_k by |t_k| |delta|; the complex ``exp`` (exp, cos
+    and sin within 1 ulp, then two products) adds 5u |t_k| and the product
+    with c adds 3u |t_k|.  Each term passes through at most N complex
+    additions, which add N u |t_k|.  Together u sum_k |t_k| (8 +
+    (2d + m + 3) zeta_k + N), which the bound dominates.  It bounds the
+    error against the exact sum of the terms of the given floating-point
+    inputs.
     """
     mm = index_matrix(m_index)
     if tol <= 0:
         raise DomainError("tol must be positive")
+    m, n = state.shape
+    if mm.shape[0] != m:
+        raise DomainError(f"index matrix must be {m} x {m} for a state of shape {state.shape}")
     if state.c == 0:
         return ThetaValue(0j, Truncation(0, 0.0))
-    m, n = state.shape
     dim = m * n
     decay = math.pi * float(np.linalg.eigvalsh(mm).min() * np.linalg.eigvalsh(state.a.imag).min())
     # |<xi, M Im B>| <= ||M Im B||_F ||xi||_F and ||xi||_F <= sqrt(dim) ||xi||_inf
     drift = 2 * math.pi * float(np.linalg.norm(mm @ state.b.imag)) * math.sqrt(dim)
     amp = abs(state.c)
 
-    radius = 1
-    while amp * _tail_majorant(radius, dim, decay, drift) > tol:
-        radius = radius + max(1, radius // 4)
+    def certified(r: int) -> bool:
+        return amp * _tail_majorant(r, dim, decay, drift) <= tol
+
+    failed, radius = 0, 1
+    while not certified(radius):
+        failed, radius = radius, radius + max(1, radius // 4)
         if radius > RADIUS_CAP:
             raise ResourceError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
+    while radius - failed > 1:
+        mid = (failed + radius) // 2
+        if certified(mid):
+            radius = mid
+        else:
+            failed = mid
     tail = amp * _tail_majorant(radius, dim, decay, drift)
 
-    # fixed reduction order: shells in increasing radius
+    # G = pi M kron A: entry (i n + k, j n + l) is pi M[i, j] A[k, l]
+    g = (math.pi * mm[:, None, :, None] * state.a[None, :, None, :]).reshape(dim, dim)
+    h = 2 * math.pi * (mm @ state.b).ravel()
+    # rows d..2d-1 give Im z = Re(x^T G x + h.x), rows 0..d-1 give Re z = -Im(...)
+    coef = np.concatenate([-g.imag, g.real])
+    lin = np.concatenate([-h.imag, h.real])[:, None]
     total = 0j
-    for r in range(radius + 1):
-        total += _shell_sum(state, mm, r)
-    return ThetaValue(total, Truncation(radius, tail))
+    masses = []
+    for r0, x in _shell_blocks(radius, dim):
+        shell = np.abs(x).max(axis=0).astype(np.intp) - r0
+        y = coef @ x
+        y += lin
+        y = y.reshape(2, dim, -1)
+        y *= x
+        z = np.empty((x.shape[1], 2))
+        np.sum(y, axis=1, out=z.T)
+        vals = np.exp(z.view(complex)[:, 0])
+        vals *= state.c
+        sums = np.bincount(shell, vals.real) + 1j * np.bincount(shell, vals.imag)
+        for shell_sum in sums.tolist():
+            total += shell_sum
+        masses.append(np.bincount(shell, np.abs(vals)))
+
+    terms = (2 * radius + 1) ** dim
+    rs = np.arange(radius + 1)
+    zeta = (float(np.abs(g).sum()) * rs
+            + 2 * math.pi * float((np.abs(mm) @ np.abs(state.b)).sum())) * rs
+    eps = float(np.finfo(float).eps)
+    roundoff = (dim + (m + 8) / 2) * eps * float(np.concatenate(masses) @ (1 + zeta + terms))
+    return ThetaValue(total, Truncation(radius, tail, terms, roundoff))
 
 
 def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
     """Theta(Omega, Z) = sum over Z^(m,n) of exp(pi i tr(M(xi O xi^T + 2 xi Z^T)))."""
-    mm = index_matrix(m_index)
-    state = GaussianState(1.0, p.omega, p.z)
-    return lattice_sum(state, mm, tol)
+    return lattice_sum(GaussianState(1.0, p.omega, p.z), m_index, tol)
 
 
 def siegel_theta(omega, tol: float) -> ThetaValue:

@@ -39,6 +39,8 @@ def test_run_job_theta():
     assert code == 0
     assert result["outputs"]["value"][0] == pytest.approx(1.00373, abs=1e-5)
     assert result["certification"]["tail_bound"] <= 1e-9
+    cert = result["certification"]
+    assert cert["terms"] == 2 * cert["radius"] + 1 and 0 < cert["roundoff_bound"] < 1e-12
     assert result["schema"] == "1" and "version" in result
 
 

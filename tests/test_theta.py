@@ -15,7 +15,8 @@ from jacobiweil import (DomainError, ResourceError, SiegelJacobiPoint,
                         fourier_coefficient, lattice_sum, siegel_theta,
                         theta_M, theta_weight_quarter)
 from jacobiweil.states import GaussianState
-from jacobiweil.theta import _lattice_shell
+from jacobiweil import theta as theta_mod
+from jacobiweil.theta import _lattice_annulus, _lattice_shell, _tail_majorant
 from jacobiweil.suites import rand_point
 
 THETA_M2_AT_I = 1.0037348854877393      # M = [2], Omega = i, Z = 0
@@ -142,6 +143,107 @@ def test_lattice_sum_zero_state():
     tv = lattice_sum(GaussianState(0.0, 1j * np.eye(1), np.zeros((1, 1))),
                      np.eye(1), 1e-10)
     assert tv.value == 0
+
+
+def test_lattice_annulus_matches_cube_filter():
+    for dim in range(1, 5):
+        for r0, r1 in [(0, 0), (0, 3), (1, 4), (2, 3), (3, 5)]:
+            cube = itertools.product(range(-r1, r1 + 1), repeat=dim)
+            expected = [pt for pt in cube if r0 <= max(map(abs, pt)) <= r1]
+            assert _lattice_annulus(r0, r1, dim).T.tolist() == [list(pt) for pt in expected]
+
+
+def test_lattice_sum_index_shape():
+    state = GaussianState(1.0, 1j * np.eye(2), np.zeros((1, 2)))
+    with pytest.raises(DomainError):
+        lattice_sum(state, np.eye(2), 1e-10)
+
+
+# --- the block engine against the per-shell loop it replaced ---------------------
+
+
+def _per_shell_reference(state, mm, radius):
+    """The per-shell summation the block engine replaced: one einsum/exp/sum
+    round per sup-norm shell, shells added in increasing radius."""
+    m, n = state.shape
+    total = 0j
+    for r in range(radius + 1):
+        xs = _lattice_shell(r, m * n).astype(float).reshape(-1, m, n)
+        quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, mm)
+        lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, mm)
+        vals = state.c * np.exp(1j * np.pi * (quad + lin))
+        total += complex(np.sum(vals))
+    return total
+
+
+def _random_state(rng, n, y, drift):
+    x = rng.normal(scale=0.5, size=(n, n))
+    a = (x + x.T) / 2 + 1j * y * np.eye(n)
+    b = rng.normal(size=(1, n)) + 1j * drift * rng.uniform(0.5, 1.0, size=(1, n))
+    return GaussianState(complex(rng.normal(), rng.normal()), a, b)
+
+
+# Im Omega per n: benign, then small enough to stress the radius
+ENGINE_Y = {1: (1.0, 0.005), 2: (1.0, 0.02), 3: (0.8, 0.15), 4: (0.8, 0.4)}
+
+
+def test_engine_matches_per_shell_reference(rng):
+    for n, ys in ENGINE_Y.items():
+        for y in ys:
+            for drift in (0.0, 0.25, 0.5):
+                state = _random_state(rng, n, y, drift)
+                tv = lattice_sum(state, np.eye(1), 1e-8)
+                ref = _per_shell_reference(state, np.eye(1), tv.truncation.radius)
+                assert tv.truncation.terms == (2 * tv.truncation.radius + 1) ** n
+                assert abs(tv.value - ref) <= tv.truncation.roundoff_bound
+
+
+def test_engine_block_budget(rng, monkeypatch):
+    cases = [(_random_state(rng, 1, 0.005, 0.5), np.eye(1)),
+             (_random_state(rng, 2, 0.02, 0.3), np.eye(1)),
+             (_random_state(rng, 3, 0.3, 0.2), np.eye(1)),
+             (GaussianState(0.7, 0.3j * np.eye(1) + 0.1, np.array([[0.2 + 0.1j], [0.4]])),
+              np.array([[2.0, 0.5], [0.5, 1.0]]))]
+    for state, mm in cases:
+        runs = {}
+        for budget in (1, 10 ** 9):
+            monkeypatch.setattr(theta_mod, "_BLOCK_TERMS", budget)
+            first, again = lattice_sum(state, mm, 1e-9), lattice_sum(state, mm, 1e-9)
+            assert first == again
+            runs[budget] = first
+        one, whole = runs[1], runs[10 ** 9]
+        assert one.truncation.radius == whole.truncation.radius
+        assert abs(one.value - whole.value) <= min(one.truncation.roundoff_bound,
+                                                   whole.truncation.roundoff_bound)
+
+
+def test_radius_is_least_certified(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        state = _random_state(rng, n, float(rng.uniform(0.01, 1.0)), float(rng.uniform(0, 0.5)))
+        tol = float(10.0 ** rng.uniform(-13, -4))
+        tv = lattice_sum(state, np.eye(1), tol)
+        radius = tv.truncation.radius
+        assert tv.truncation.tail_bound <= tol
+        if radius == 1:
+            continue
+        decay = math.pi * np.linalg.eigvalsh(state.a.imag).min()
+        drift = 2 * math.pi * np.linalg.norm(state.b.imag) * math.sqrt(n)
+        assert abs(state.c) * _tail_majorant(radius - 1, n, decay, drift) > tol
+
+
+def test_roundoff_bound_covers_stress_case():
+    # terms reach e^157 around xi = -100, and Re Omega makes them oscillate
+    import mpmath
+
+    omega, z = -0.42 + 0.005j, 0.3 + 0.5j
+    p = SiegelJacobiPoint(np.array([[omega]]), np.array([[z]]))
+    tv = theta_M(np.eye(1), p, 1e-10)
+    with mpmath.workdps(60):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(omega))
+        want = complex(mpmath.jtheta(3, mpmath.pi * mpmath.mpc(z), q))
+    assert tv.truncation.roundoff_bound > 1e50
+    assert abs(tv.value - want) <= tv.truncation.tail_bound + tv.truncation.roundoff_bound
 
 
 # --- Fourier coefficients ------------------------------------------------------
