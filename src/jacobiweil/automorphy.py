@@ -30,16 +30,25 @@ def jfac(g: SymplecticElement, omega) -> np.ndarray:
     return c @ complex_sym(omega) + d
 
 
+def _index_exponents(mm, g: SymplecticElement, h: HeisenbergElement,
+                     p: SiegelJacobiPoint) -> tuple[complex, complex]:
+    """The exponents of the index-M factors: with W = Z + lam O + mu,
+    e1 = tr(M W (CO+D)^{-1} C W^T) and
+    e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T))."""
+    lam, mu, kap = h.lam, h.mu, h.kappa
+    omega, z = p.omega, p.z
+    _, _, c, d = g.blocks
+    w = z + lam @ omega + mu
+    e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
+    e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
+    return e1, e2
+
+
 def J_M(m_index, elt: JacobiElement, p: SiegelJacobiPoint) -> complex:
     """Index-M factor: exp(2 pi i tr(M[Z+lam O+mu](CO+D)^{-1}C)) *
     exp(-2 pi i tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T)))."""
     mm = index_matrix(m_index)
-    lam, mu, kap = elt.h.lam, elt.h.mu, elt.h.kappa
-    omega, z = p.omega, p.z
-    _, _, c, d = elt.g.blocks
-    w = z + lam @ omega + mu
-    e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
-    e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
+    e1, e2 = _index_exponents(mm, elt.g, elt.h, p)
     return complex(np.exp(2j * np.pi * e1) * np.exp(-2j * np.pi * e2))
 
 
@@ -164,15 +173,9 @@ class HalfWeight:
 def J_kM_half(weight: HalfWeight, elt: MetaplecticElement, h: HeisenbergElement,
               p: SiegelJacobiPoint) -> complex:
     """Half-integral Jacobi factor: the index-M exponentials times J_{1/2}^k."""
-    mm = weight.m_index
-    lam, mu, kap = h.lam, h.mu, h.kappa
-    omega, z = p.omega, p.z
-    _, _, c, d = elt.g.blocks
-    w = z + lam @ omega + mu
-    e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
-    e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
+    e1, e2 = _index_exponents(weight.m_index, elt.g, h, p)
     return complex(np.exp(2j * np.pi * e1) * np.exp(-2j * np.pi * e2)
-                   * J_half(elt, omega) ** weight.k)
+                   * J_half(elt, p.omega) ** weight.k)
 
 
 def J_star_M(m_index, elt: MetaplecticElement, h: HeisenbergElement,
@@ -180,14 +183,9 @@ def J_star_M(m_index, elt: MetaplecticElement, h: HeisenbergElement,
     """Covariance factor: pi-i-normalized exponentials times J_{1/2}^m."""
     mm = index_matrix(m_index)
     m = mm.shape[0]
-    lam, mu, kap = h.lam, h.mu, h.kappa
-    omega, z = p.omega, p.z
-    _, _, c, d = elt.g.blocks
-    w = z + lam @ omega + mu
-    e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
-    e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
+    e1, e2 = _index_exponents(mm, elt.g, h, p)
     return complex(np.exp(1j * np.pi * e1) * np.exp(-1j * np.pi * e2)
-                   * J_half(elt, omega) ** m)
+                   * J_half(elt, p.omega) ** m)
 
 
 # ---------------------------------------------------------------------------

@@ -2,32 +2,27 @@
 
 The engine evaluates sums of exp(pi i tr(M (xi Omega xi^T + 2 xi Z^T))) over
 xi in Z^(m,n) with sup-norm at most R, choosing the least R for which a proven
-upper bound on the omitted mass is below the requested tolerance.  Terms are
-evaluated in blocks of consecutive sup-norm shells, one numpy pass per block:
-one exponent evaluation, one ``exp``, and one ``np.bincount`` on the sup
-norm for the shell sums.  Summation order is fixed (lexicographic within a
-shell, shell sums added to the total in increasing radius), so results are
-bit-identical across runs.  Each result also carries a first-order bound on
-the floating-point error of that evaluation (``Truncation.roundoff_bound``).
+upper bound on the omitted mass is below the requested tolerance.  The cube
+[-R, R]^(mn) is walked in lexicographic order, in blocks of consecutive
+points, one numpy pass per block: one exponent evaluation, one ``exp`` and
+one ``sum``.  The order is fixed, so results are bit-identical across runs.
+Each result also carries a first-order bound on the floating-point error of
+that evaluation (``Truncation.roundoff_bound``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import ConvergenceError, DomainError, ResourceError
 from .groups import SiegelJacobiPoint
-from .linalg import complex_sym, is_positive_definite
 from .states import GaussianState, index_matrix
 
 RADIUS_CAP = 10_000
-# terms per numpy pass: consecutive shells are grouped up to this many terms (a
-# larger shell is a block of its own), so memory is bounded by one block, not
-# by the ball
+# points per numpy pass, so memory is bounded by one block, not by the cube
 _BLOCK_TERMS = 4096
 
 
@@ -70,48 +65,22 @@ def _tail_majorant(radius: int, dim: int, decay: float, drift: float) -> float:
     return 2.0 * shell_term(r0)
 
 
-def _lattice_annulus(r0: int, r1: int, dim: int) -> np.ndarray:
-    """Points of Z^dim with sup norm in [r0, r1], one per column, in
-    lexicographic order.
+def _cube_blocks(radius: int, dim: int):
+    """Yield the points of the cube [-radius, radius]^dim in lexicographic
+    order, as (dim, count) float arrays of at most ``_BLOCK_TERMS`` points.
 
-    Coordinate 0 runs over [-r1, r1].  Where |x_0| >= r0 the other
-    coordinates range over the full (dim-1)-cube of radius r1; in between
-    they range over the (dim-1)-annulus.
+    Each block is a slice of consecutive flat indices of the cube, decoded
+    into coordinates (the last one fastest) with ``np.divmod``.
     """
-    neg, pos = np.arange(-r1, 1 - r0), np.arange(max(r0, 1), r1 + 1)
-    if dim == 1:
-        return np.concatenate([neg, pos])[None]
-    cube = np.indices((2 * r1 + 1,) * (dim - 1)).reshape(dim - 1, -1) - r1
-    middle = np.arange(1 - r0, r0)
-    inner = _lattice_annulus(r0, r1, dim - 1) if r0 > 0 else cube[:, :0]
-    lead = np.concatenate([np.repeat(neg, cube.shape[1]), np.repeat(middle, inner.shape[1]),
-                           np.repeat(pos, cube.shape[1])])
-    rest = np.concatenate([np.tile(cube, len(neg)), np.tile(inner, len(middle)),
-                           np.tile(cube, len(pos))], axis=1)
-    return np.vstack([lead, rest])
-
-
-def _lattice_shell(radius: int, dim: int) -> np.ndarray:
-    """Points of Z^dim with sup norm exactly radius, one per row, lexicographic order."""
-    return _lattice_annulus(radius, radius, dim).T
-
-
-def _shell_blocks(radius: int, dim: int):
-    """Yield (r0, points) for the shells 0..radius, grouped into blocks.
-
-    A block is the annulus of the consecutive shells r0..r1 (see
-    ``_lattice_annulus``), as a (dim, count) float array.  It takes shells
-    while their total stays within ``_BLOCK_TERMS`` terms.
-    """
-    sizes = [1] + [(2 * r + 1) ** dim - (2 * r - 1) ** dim for r in range(1, radius + 1)]
-    r0 = 0
-    while r0 <= radius:
-        r1, count = r0, sizes[r0]
-        while r1 < radius and count + sizes[r1 + 1] <= _BLOCK_TERMS:
-            r1 += 1
-            count += sizes[r1]
-        yield r0, _lattice_annulus(r0, r1, dim).astype(float)
-        r0 = r1 + 1
+    side = 2 * radius + 1
+    total = side ** dim
+    for start in range(0, total, _BLOCK_TERMS):
+        flat = np.arange(start, min(start + _BLOCK_TERMS, total))
+        x = np.empty((dim, flat.size))
+        for i in range(dim - 1, -1, -1):
+            flat, x[i] = np.divmod(flat, side)
+        x -= radius
+        yield x
 
 
 def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
@@ -128,17 +97,17 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     With x = vec(xi) (d = mn entries), term k is t_k = c exp(z_k), where
     z_k = i sum_i x_i (sum_j G_ij x_j + h_i), G = pi M kron A and
     h = 2 pi vec(M B); the real and imaginary parts are evaluated as real
-    arrays.  Terms are evaluated in blocks of consecutive shells of at most
-    ``_BLOCK_TERMS`` terms, with one ``exp`` per block.  Within a block the
-    points are in lexicographic order and ``np.bincount`` on their sup norm
-    sums each shell in that order; the shell sums are added to the total in
-    increasing radius.
+    arrays.  The cube is walked in lexicographic order, in blocks of at most
+    ``_BLOCK_TERMS`` consecutive points (see ``_cube_blocks``), with one
+    ``exp`` per block.  Each block is reduced by numpy's pairwise ``sum``,
+    and the block sums are added to the total in order.
 
     ``roundoff_bound`` is k eps sum_k |t_k| (1 + zeta_k + N) with
     k = d + (m + 8) / 2, eps = 2u the double epsilon and N the number of
-    terms.  On the shell of radius r, zeta_k = r^2 sum_ij |G_ij| +
-    r sum_i |h|_i, with |h| = 2 pi vec(|M| |B|), which bounds the exponent
-    evaluated with every entry replaced by its absolute value, and so |z_k|.
+    terms.  With r_k the sup norm of term k's point, zeta_k = r_k^2 sum_ij
+    |G_ij| + r_k sum_i |h|_i, with |h| = 2 pi vec(|M| |B|), which bounds
+    the exponent evaluated with every entry replaced by its absolute value,
+    and so |z_k|.
     Derivation, to first order in u: the entries of G carry relative error
     3u (the product M A, the rounding of pi, the product with pi), those of
     h (m + 2)u (a length-m dot product, then 2 pi).  Evaluating z_k adds
@@ -147,7 +116,8 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     error delta moves t_k by |t_k| |delta|; the complex ``exp`` (exp, cos
     and sin within 1 ulp, then two products) adds 5u |t_k| and the product
     with c adds 3u |t_k|.  Each term passes through at most N complex
-    additions, which add N u |t_k|.  Together u sum_k |t_k| (8 +
+    additions (a pairwise sum within its block, then one addition per
+    block), which add N u |t_k|.  Together u sum_k |t_k| (8 +
     (2d + m + 3) zeta_k + N), which the bound dominates.  It bounds the
     error against the exact sum of the terms of the given floating-point
     inputs.
@@ -188,10 +158,12 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     # rows d..2d-1 give Im z = Re(x^T G x + h.x), rows 0..d-1 give Re z = -Im(...)
     coef = np.concatenate([-g.imag, g.real])
     lin = np.concatenate([-h.imag, h.real])[:, None]
+    terms = (2 * radius + 1) ** dim
+    g_abs = float(np.abs(g).sum())
+    h_abs = 2 * math.pi * float((np.abs(mm) @ np.abs(state.b)).sum())
     total = 0j
-    masses = []
-    for r0, x in _shell_blocks(radius, dim):
-        shell = np.abs(x).max(axis=0).astype(np.intp) - r0
+    mass = 0.0
+    for x in _cube_blocks(radius, dim):
         y = coef @ x
         y += lin
         y = y.reshape(2, dim, -1)
@@ -200,17 +172,13 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
         np.sum(y, axis=1, out=z.T)
         vals = np.exp(z.view(complex)[:, 0])
         vals *= state.c
-        sums = np.bincount(shell, vals.real) + 1j * np.bincount(shell, vals.imag)
-        for shell_sum in sums.tolist():
-            total += shell_sum
-        masses.append(np.bincount(shell, np.abs(vals)))
+        total += complex(vals.sum())
+        r = np.abs(x).max(axis=0)
+        zeta = (g_abs * r + h_abs) * r
+        mass += float(np.abs(vals) @ (1 + zeta + terms))
 
-    terms = (2 * radius + 1) ** dim
-    rs = np.arange(radius + 1)
-    zeta = (float(np.abs(g).sum()) * rs
-            + 2 * math.pi * float((np.abs(mm) @ np.abs(state.b)).sum())) * rs
     eps = float(np.finfo(float).eps)
-    roundoff = (dim + (m + 8) / 2) * eps * float(np.concatenate(masses) @ (1 + zeta + terms))
+    roundoff = (dim + (m + 8) / 2) * eps * mass
     return ThetaValue(total, Truncation(radius, tail, terms, roundoff))
 
 
@@ -221,19 +189,15 @@ def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
 
 def siegel_theta(omega, tol: float) -> ThetaValue:
     """Theta(Omega) = sum over A in Z^n of exp(pi i tr(A Omega A^T))."""
-    omega = complex_sym(omega)
-    if not is_positive_definite(omega.imag):
-        raise DomainError("Omega must lie in the Siegel upper half space")
-    n = omega.shape[0]
-    state = GaussianState(1.0, omega, np.zeros((1, n)))
+    # GaussianState checks that Omega is symmetric with Im Omega positive definite
+    state = GaussianState(1.0, omega, np.zeros((1, len(np.atleast_1d(omega)))))
     return lattice_sum(state, np.eye(1), tol)
 
 
 def theta_weight_quarter(tau: complex, tol: float) -> complex:
     """theta(tau) = y^{1/4} sum over n in Z of exp(2 pi i n^2 tau)."""
     tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("Im(tau) must be positive")
+    # GaussianState checks Im(2 tau) > 0
     state = GaussianState(1.0, np.array([[2 * tau]]), np.zeros((1, 1)))
     inner = lattice_sum(state, np.eye(1), tol)
     return tau.imag ** 0.25 * inner.value
@@ -241,10 +205,6 @@ def theta_weight_quarter(tau: complex, tol: float) -> complex:
 
 # ---------------------------------------------------------------------------
 # Fourier coefficients of functions periodic in Re(Omega) and Re(Z)
-
-
-def _sym_coords(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
@@ -255,44 +215,40 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     Trapezoidal quadrature over the period cube in the independent real
     coordinates (upper triangle of X = Re Omega, all of U = Re Z) at the
     fixed imaginary parts of ``p0``; exponentially convergent for holomorphic
-    integrands.  With ``refine_tol`` set, the grid is doubled once and a
-    disagreement above the tolerance raises ConvergenceError.
+    integrands.  With ``refine_tol`` set, ``func`` is sampled on the doubled
+    grid of 2 * ``grid_points`` ticks per coordinate, the coarse rule is the
+    mean over its even-index points (k/N == 2k/(2N) exactly), and a
+    disagreement of the two rules above the tolerance raises
+    ConvergenceError.
     """
-    from .errors import ConvergenceError
-
     n, m = p0.n, p0.m
     t_matrix = np.asarray(t_matrix, dtype=float)
     r_matrix = np.asarray(r_matrix, dtype=float)
     if t_matrix.shape != (n, n) or r_matrix.shape != (n, m):
         raise DomainError("T must be n x n symmetric, R must be n x m")
+    if int(grid_points) != grid_points or grid_points < 1:
+        raise DomainError("grid_points must be a positive integer")
 
-    sym_idx = _sym_coords(n)
-    y0 = p0.omega.imag
-    v0 = p0.z.imag
-
-    def once(npts: int) -> complex:
-        ticks = np.arange(npts) / npts
-        total = 0j
-        for xv in itertools.product(ticks, repeat=len(sym_idx)):
-            x = np.zeros((n, n))
-            for (i, j), val in zip(sym_idx, xv):
-                x[i, j] = x[j, i] = val
-            omega = x + 1j * y0
-            for uv in itertools.product(ticks, repeat=m * n):
-                u = np.asarray(uv).reshape(m, n)
-                z = u + 1j * v0
-                val = func(omega, z)
-                phase = np.exp(-2j * np.pi * (np.trace(t_matrix @ x) + np.trace(r_matrix @ u)))
-                total += val * phase
-        total /= npts ** (len(sym_idx) + m * n)
-        # compensate the fixed imaginary parts to get the true coefficient
-        comp = np.exp(-2j * np.pi * (np.trace(t_matrix @ (1j * y0)) + np.trace(r_matrix @ (1j * v0))))
-        return complex(total * comp)
-
-    coarse = once(grid_points)
+    npts = grid_points if refine_tol is None else 2 * grid_points
+    rows, cols = np.triu_indices(n)
+    dims = len(rows) + m * n
+    idx = np.indices((npts,) * dims).reshape(dims, -1)
+    pts = idx / npts
+    x = np.zeros((pts.shape[1], n, n))
+    x[:, rows, cols] = x[:, cols, rows] = pts[:len(rows)].T
+    u = pts[len(rows):].T.reshape(-1, m, n)
+    samples = np.array([func(omega, z) for omega, z in zip(x + 1j * p0.omega.imag,
+                                                            u + 1j * p0.z.imag)], dtype=complex)
+    # tr(T X) + tr(R U) as a linear form in the coordinates
+    weights = np.concatenate([(t_matrix + np.triu(t_matrix.T, 1))[rows, cols], r_matrix.T.ravel()])
+    terms = samples * np.exp(-2j * np.pi * (weights @ pts))
+    # compensate the fixed imaginary parts to get the true coefficient
+    comp = np.exp(-2j * np.pi * (np.trace(t_matrix @ (1j * p0.omega.imag))
+                                 + np.trace(r_matrix @ (1j * p0.z.imag))))
+    fine = complex(terms.mean() * comp)
     if refine_tol is None:
-        return coarse
-    fine = once(2 * grid_points)
+        return fine
+    coarse = complex(terms[(idx % 2 == 0).all(axis=0)].mean() * comp)
     if abs(fine - coarse) > refine_tol * max(1.0, abs(fine)):
         raise ConvergenceError(
             f"quadrature refinement moved the coefficient by {abs(fine - coarse):.3e}")

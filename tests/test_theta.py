@@ -14,9 +14,10 @@ import pytest
 from jacobiweil import (DomainError, ResourceError, SiegelJacobiPoint,
                         fourier_coefficient, lattice_sum, siegel_theta,
                         theta_M, theta_weight_quarter)
+from jacobiweil.errors import AsymmetryError
 from jacobiweil.states import GaussianState
 from jacobiweil import theta as theta_mod
-from jacobiweil.theta import _lattice_annulus, _lattice_shell, _tail_majorant
+from jacobiweil.theta import _cube_blocks, _tail_majorant
 from jacobiweil.suites import rand_point
 
 THETA_M2_AT_I = 1.0037348854877393      # M = [2], Omega = i, Z = 0
@@ -86,6 +87,11 @@ def test_siegel_theta_anchor():
     assert abs(v.value - SIEGEL_AT_I) < 1e-9
     oracle = _oracle_sum(np.eye(1), np.array([[1j]]), np.zeros((1, 1)), 40)
     assert oracle.real == pytest.approx(SIEGEL_AT_I, abs=1e-13)
+    # outside the Siegel upper half space, and not symmetric
+    with pytest.raises(DomainError):
+        siegel_theta(np.array([[1j, 0.0], [0.0, -0.5j]]), 1e-12)
+    with pytest.raises(AsymmetryError):
+        siegel_theta(np.array([[1j, 0.3], [0.0, 1j]]), 1e-12)
 
 
 def test_siegel_theta_even_translation(rng):
@@ -122,6 +128,8 @@ def test_quarter_weight_periodicity(rng):
 def test_quarter_weight_domain():
     with pytest.raises(DomainError):
         theta_weight_quarter(1.0 - 0.5j, 1e-10)
+    with pytest.raises(DomainError):
+        theta_weight_quarter(0.3, 1e-10)
 
 
 def test_lattice_sum_repeat_determinism(rng):
@@ -131,12 +139,42 @@ def test_lattice_sum_repeat_determinism(rng):
     assert vals[0] == vals[1] == vals[2]
 
 
-def test_lattice_shell_matches_cube_filter():
+def test_cube_blocks_match_itertools_cube(monkeypatch):
+    for budget in (1, 7, 4096):
+        monkeypatch.setattr(theta_mod, "_BLOCK_TERMS", budget)
+        for dim in range(1, 5):
+            for radius in range(7):
+                blocks = list(_cube_blocks(radius, dim))
+                assert all(b.shape[0] == dim and 1 <= b.shape[1] <= budget for b in blocks)
+                cube = itertools.product(range(-radius, radius + 1), repeat=dim)
+                assert np.hstack(blocks).T.tolist() == [list(pt) for pt in cube]
+
+
+def _walk_by_sup_norm(radius, dim, lo, hi):
+    """Points of the cube walk of the given radius whose sup norm (the r_k of
+    ``zeta_k`` in the roundoff bound) lies in [lo, hi], in walk order."""
+    pts = np.hstack(list(_cube_blocks(radius, dim)))
+    r = np.abs(pts).max(axis=0)
+    return pts[:, (lo <= r) & (r <= hi)].T.tolist()
+
+
+def test_lattice_shell_matches_cube_filter(monkeypatch):
+    # each shell, cut from a larger cube walk split into small blocks
+    monkeypatch.setattr(theta_mod, "_BLOCK_TERMS", 7)
     for dim in range(1, 5):
         for radius in range(7):
             cube = itertools.product(range(-radius, radius + 1), repeat=dim)
             expected = [pt for pt in cube if max(map(abs, pt)) == radius]
-            assert _lattice_shell(radius, dim).tolist() == [list(pt) for pt in expected]
+            assert _walk_by_sup_norm(radius + 1, dim, radius, radius) == [list(pt) for pt in expected]
+
+
+def test_lattice_annulus_matches_cube_filter(monkeypatch):
+    monkeypatch.setattr(theta_mod, "_BLOCK_TERMS", 7)
+    for dim in range(1, 5):
+        for r0, r1 in [(0, 0), (0, 3), (1, 4), (2, 3), (3, 5)]:
+            cube = itertools.product(range(-r1, r1 + 1), repeat=dim)
+            expected = [pt for pt in cube if r0 <= max(map(abs, pt)) <= r1]
+            assert _walk_by_sup_norm(r1 + 1, dim, r0, r1) == [list(pt) for pt in expected]
 
 
 def test_lattice_sum_zero_state():
@@ -145,30 +183,25 @@ def test_lattice_sum_zero_state():
     assert tv.value == 0
 
 
-def test_lattice_annulus_matches_cube_filter():
-    for dim in range(1, 5):
-        for r0, r1 in [(0, 0), (0, 3), (1, 4), (2, 3), (3, 5)]:
-            cube = itertools.product(range(-r1, r1 + 1), repeat=dim)
-            expected = [pt for pt in cube if r0 <= max(map(abs, pt)) <= r1]
-            assert _lattice_annulus(r0, r1, dim).T.tolist() == [list(pt) for pt in expected]
-
-
 def test_lattice_sum_index_shape():
     state = GaussianState(1.0, 1j * np.eye(2), np.zeros((1, 2)))
     with pytest.raises(DomainError):
         lattice_sum(state, np.eye(2), 1e-10)
 
 
-# --- the block engine against the per-shell loop it replaced ---------------------
+# --- the block engine against an independent per-shell loop ---------------------
 
 
 def _per_shell_reference(state, mm, radius):
-    """The per-shell summation the block engine replaced: one einsum/exp/sum
-    round per sup-norm shell, shells added in increasing radius."""
+    """Per-shell summation sharing no code with the engine: each sup-norm shell
+    filtered from an itertools cube, one einsum/exp/sum round per shell,
+    shells added in increasing radius."""
     m, n = state.shape
     total = 0j
     for r in range(radius + 1):
-        xs = _lattice_shell(r, m * n).astype(float).reshape(-1, m, n)
+        cube = itertools.product(range(-r, r + 1), repeat=m * n)
+        shell = [pt for pt in cube if max(map(abs, pt)) == r]
+        xs = np.array(shell, dtype=float).reshape(-1, m, n)
         quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, mm)
         lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, mm)
         vals = state.c * np.exp(1j * np.pi * (quad + lin))
@@ -256,6 +289,9 @@ def test_fourier_constant_function():
                                grid_points=8) == pytest.approx(1.0)
     assert abs(fourier_coefficient(one, np.array([[1.0]]), np.array([[0.0]]), p0,
                                    grid_points=8)) < 1e-12
+    for bad in (0, -3, 2.5):
+        with pytest.raises(DomainError):
+            fourier_coefficient(one, np.array([[0.0]]), np.array([[0.0]]), p0, grid_points=bad)
 
 
 def test_fourier_theta_indicator_coefficients():
