@@ -2,8 +2,9 @@
 
 A job is either a JSON JobSpec (via --job FILE or stdin) or a named
 verification suite (--suite NAME --seed N --count N [--tol X]).  Output is a
-single JSON object on stdout; exit codes: 0 all residuals within tolerance,
-1 residual exceeded, 2 usage error, 3 resource/convergence error.
+single JSON object on stdout, strict JSON (no NaN or infinity); exit codes:
+0 all residuals within tolerance, 1 residual exceeded, 2 usage error,
+3 resource/convergence error or a non-finite number in the result.
 
 JobSpec: {"command": <name>, "params": {...}, "tol": float, "seed": int}
 with command one of theta, theta-sum, maslov, cocycle, covariance,
@@ -230,7 +231,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": f"usage: {exc}"}), file=sys.stdout)
         return 2
-    print(json.dumps(result, sort_keys=True))
+    try:
+        text = json.dumps(result, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # strict JSON has no NaN or infinity: a non-finite result (an overflowed
+        # theta value, for one) is reported like any other unreachable result
+        print(json.dumps({"schema": SCHEMA, "error": f"resource: non-finite output ({exc})"}))
+        return 3
+    print(text)
     return code
 
 

@@ -113,11 +113,18 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
     [[alpha^T, 0], [0, alpha^{-1}]] for invertible alpha; ``sigma`` =
     [[0, -I], [I, 0]].
     """
+    return SymplecticElement(_generator_matrix(kind, parameter, n))
+
+
+def _generator_matrix(kind: str, parameter=None, n: int | None = None) -> np.ndarray:
+    """The matrix of ``sp_generator(kind, parameter, n)``, with its parameter
+    checks but without building a checked element: word products multiply
+    these and check only the final product."""
     if kind == "t":
         b = real_sym(parameter)
         n = b.shape[0]
         i = np.eye(n)
-        return SymplecticElement(_block([[i, b], [None, i]], n))
+        return _block([[i, b], [None, i]], n)
     if kind == "g":
         al = np.asarray(parameter, dtype=float)
         if al.ndim != 2 or al.shape[0] != al.shape[1]:
@@ -125,12 +132,12 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
         if abs(np.linalg.det(al)) < 1e-12:
             raise DomainError("alpha must be invertible")
         n = al.shape[0]
-        return SymplecticElement(_block([[al.T, None], [None, np.linalg.inv(al)]], n))
+        return _block([[al.T, None], [None, np.linalg.inv(al)]], n)
     if kind == "sigma":
         if n is None:
             raise DomainError("sigma generator needs the dimension n")
         i = np.eye(n)
-        return SymplecticElement(_block([[None, -i], [i, None]], n))
+        return _block([[None, -i], [i, None]], n)
     raise DomainError(f"unknown generator kind {kind!r}")
 
 

@@ -14,14 +14,24 @@ import numpy as np
 from .errors import AsymmetryError, DomainError, EigenSolverError
 
 SYM_DEFECT_TOL = 1e-8
+PD_TOL = 1e-12
 
 
 def _sym(a, dtype, defect_tol: float) -> np.ndarray:
+    """The symmetrized copy 0.5 (a + a^T) of a square matrix.
+
+    Raises AsymmetryError when the defect max|a - a^T| exceeds ``defect_tol``
+    times the scale max(1, max|a|).  A NaN defect compares false and passes.
+    Defect and scale are one ndarray reduction each; a 0 x 0 matrix has no
+    entries to reduce, and its copy is returned.
+    """
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    defect = np.max(np.abs(a - a.T), initial=0.0)
-    scale = max(1.0, np.max(np.abs(a), initial=0.0))
+    if a.size == 0:
+        return a.copy()
+    defect = abs(a - a.T).max()
+    scale = max(1.0, abs(a).max())
     if defect > defect_tol * scale:
         raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
     return 0.5 * (a + a.T)
@@ -58,6 +68,20 @@ class Signature:
         return iter((self.positives, self.negatives, self.zeros))
 
 
+def _eigvalsh(a: np.ndarray) -> list[float]:
+    """Eigenvalues of a symmetric matrix, ascending, as Python floats."""
+    try:
+        return np.linalg.eigvalsh(a).tolist()
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise EigenSolverError(f"eigvalsh did not converge: {exc}", a) from exc
+
+
+def _has_nan(w: list[float]) -> bool:
+    # a NaN eigenvalue (from non-finite entries) does not sort, so the ends
+    # of eigvalsh's output alone cannot show it
+    return any(v != v for v in w)
+
+
 def signature(q, zero_tol: float | None = None) -> Signature:
     """Signature of a real symmetric matrix.
 
@@ -70,29 +94,38 @@ def signature(q, zero_tol: float | None = None) -> Signature:
         1e-9 scaled by the largest absolute eigenvalue; the forms this
         package feeds in are exactly rank-deficient, so a relative
         threshold keeps the integer output stable.
+
+    The eigenvalues come sorted from ``eigvalsh``, so the largest absolute
+    one is at an end of the list, and the counts are taken in scalar code.
+    A NaN eigenvalue leaves the scale at 1.
     """
     q = real_sym(q)
-    try:
-        w = np.linalg.eigvalsh(q)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise EigenSolverError(f"eigvalsh did not converge: {exc}", q) from exc
+    w = _eigvalsh(q)
     if zero_tol is None:
-        zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+        top = 1.0 if not w or _has_nan(w) else max(1.0, -w[0], w[-1])
+        zero_tol = 1e-9 * top
     elif zero_tol <= 0:
         raise DomainError("zero_tol must be positive")
-    pos = int(np.sum(w > zero_tol))
-    neg = int(np.sum(w < -zero_tol))
+    pos = sum(v > zero_tol for v in w)
+    neg = sum(v < -zero_tol for v in w)
     return Signature(pos, neg, q.shape[0] - pos - neg)
 
 
-def is_positive_definite(y, tol: float = 1e-12) -> bool:
+def _min_eigenvalue(y: np.ndarray) -> float:
+    """The least eigenvalue of a symmetric matrix, NaN if any eigenvalue is NaN.
+
+    ``y`` must already be symmetric (the output of ``real_sym``).  A 0 x 0
+    matrix raises the ValueError that ``np.min`` raises on an empty array.
+    """
+    w = _eigvalsh(y)
+    if not w:
+        raise ValueError("zero-size array to reduction operation minimum which has no identity")
+    return math.nan if _has_nan(w) else w[0]
+
+
+def is_positive_definite(y, tol: float = PD_TOL) -> bool:
     """True iff all eigenvalues of the symmetric matrix exceed ``tol``."""
-    y = real_sym(y)
-    try:
-        w = np.linalg.eigvalsh(y)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenSolverError(f"eigvalsh did not converge: {exc}", y) from exc
-    return bool(np.min(w) > tol)
+    return bool(_min_eigenvalue(real_sym(y)) > tol)
 
 
 def principal_pow_half(z: complex, kappa: int) -> complex:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import SymplecticElement, _block, sp_generator, sp_identity, symplectic_form
+from .groups import SymplecticElement, _block, _generator_matrix, symplectic_form
 from .linalg import signature
 
 ISO_TOL = 1e-10
@@ -120,21 +120,26 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
 
 def random_symplectic(rng: np.random.Generator, n: int, letters: int = 4,
                       scale: float = 0.6) -> SymplecticElement:
-    """Random word in the t/g/sigma generators; exact group membership."""
-    g = sp_identity(n)
+    """Random word in the t/g/sigma generators; exact group membership.
+
+    The generator matrices are multiplied as plain arrays, left to right from
+    the identity, and only the product is built as a checked
+    ``SymplecticElement``.
+    """
+    g = np.eye(2 * n)
     for _ in range(rng.integers(1, letters + 1)):
         kind = rng.choice(["t", "g", "sigma"])
         if kind == "t":
             b = rng.normal(size=(n, n)) * scale
-            g = g @ sp_generator("t", 0.5 * (b + b.T))
+            g = g @ _generator_matrix("t", 0.5 * (b + b.T))
         elif kind == "g":
             al = np.eye(n) + scale * rng.normal(size=(n, n))
             while abs(np.linalg.det(al)) < 0.3:
                 al = np.eye(n) + scale * rng.normal(size=(n, n))
-            g = g @ sp_generator("g", al)
+            g = g @ _generator_matrix("g", al)
         else:
-            g = g @ sp_generator("sigma", n=n)
-    return g
+            g = g @ _generator_matrix("sigma", n=n)
+    return SymplecticElement(g)
 
 
 def random_lagrangian(rng: np.random.Generator, n: int) -> Lagrangian:

@@ -8,39 +8,55 @@ which is what makes exact (quadrature-free) verification possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .groups import SiegelJacobiPoint
-from .linalg import complex_sym, is_positive_definite, real_sym
+from .linalg import PD_TOL, _min_eigenvalue, complex_sym, real_sym
 
 
 def index_matrix(m) -> np.ndarray:
     """Validate a positive definite symmetric index matrix."""
+    return _index_matrix(m)[0]
+
+
+def _index_matrix(m) -> tuple[np.ndarray, float]:
+    """``index_matrix``, and the least eigenvalue of M that its check computed."""
     m = real_sym(m)
-    if not is_positive_definite(m):
+    lam = _min_eigenvalue(m)
+    if not lam > PD_TOL:
         raise DomainError("index matrix must be positive definite")
-    return m
+    return m, lam
 
 
 @dataclass(frozen=True)
 class GaussianState:
+    """``im_a_min`` is the least eigenvalue of Im A, kept from the constructor's
+    positive-definiteness check (NaN when c = 0, where Im A is not checked)."""
+
     c: complex
     a: np.ndarray
     b: np.ndarray
+    im_a_min: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = complex_sym(self.a)
         b = np.asarray(self.b, dtype=complex)
         if b.ndim != 2 or b.shape[1] != a.shape[0]:
             raise DomainError("B must be (m, n) with n matching A")
-        if complex(self.c) != 0 and not is_positive_definite(a.imag):
-            raise DomainError("Im(A) must be positive definite")
+        im_a_min = math.nan
+        if complex(self.c) != 0:
+            # Im A of the symmetrized A is symmetric already
+            im_a_min = _min_eigenvalue(a.imag)
+            if not im_a_min > PD_TOL:
+                raise DomainError("Im(A) must be positive definite")
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "im_a_min", im_a_min)
 
     @property
     def shape(self):
@@ -54,14 +70,19 @@ class GaussianState:
         return GaussianState(self.c, self.a, -self.b)
 
 
-def evaluate(state: GaussianState, m_index, x) -> complex:
-    """Pointwise value c exp(pi i tr(M (x A x^T + 2 x B^T)))."""
+def evaluate(state: GaussianState, m_index, x):
+    """Pointwise value c exp(pi i tr(M (x A x^T + 2 x B^T))).
+
+    ``x`` is one point of shape (m, n), which gives a complex scalar, or a
+    stack of points of shape (..., m, n), which gives an array of shape
+    (...): M is validated once and the whole stack is one numpy pass.
+    """
     mm = index_matrix(m_index)
     x = np.asarray(x, dtype=float)
-    if x.shape != state.shape:
+    if x.shape[-2:] != state.shape:
         raise DomainError(f"sample point must have shape {state.shape}")
-    quad = x @ state.a @ x.T + 2 * x @ state.b.T
-    return state.c * np.exp(1j * np.pi * np.trace(mm @ quad))
+    quad = x @ state.a @ np.swapaxes(x, -1, -2) + 2 * x @ state.b.T
+    return state.c * np.exp(1j * np.pi * np.trace(mm @ quad, axis1=-2, axis2=-1))
 
 
 def covariant_map(m_index, p: SiegelJacobiPoint) -> GaussianState:
@@ -114,8 +135,7 @@ def state_distance(f: GaussianState, g: GaussianState, m_index,
         raise DomainError("shape mismatch")
     if normalize_phase and f.c != 0 and g.c != 0:
         f = f.scaled((g.c / f.c) / abs(g.c / f.c))
-    m, n = f.shape
-    grid = sample_grid(m, n)
-    point = max(abs(evaluate(f, m_index, x) - evaluate(g, m_index, x)) for x in grid)
+    grid = sample_grid(*f.shape)
+    point = np.abs(evaluate(f, m_index, grid) - evaluate(g, m_index, grid)).max()
     par = max(np.max(np.abs(f.a - g.a)), np.max(np.abs(f.b - g.b)), abs(f.c - g.c))
     return float(max(point, par))

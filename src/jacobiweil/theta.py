@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ResourceError
 from .groups import SiegelJacobiPoint
-from .states import GaussianState, index_matrix
+from .states import GaussianState, _index_matrix
 
 RADIUS_CAP = 10_000
 # points per numpy pass, so memory is bounded by one block, not by the cube
@@ -122,7 +122,7 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     error against the exact sum of the terms of the given floating-point
     inputs.
     """
-    mm = index_matrix(m_index)
+    mm, m_min = _index_matrix(m_index)
     if tol <= 0:
         raise DomainError("tol must be positive")
     m, n = state.shape
@@ -131,7 +131,8 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     if state.c == 0:
         return ThetaValue(0j, Truncation(0, 0.0))
     dim = m * n
-    decay = math.pi * float(np.linalg.eigvalsh(mm).min() * np.linalg.eigvalsh(state.a.imag).min())
+    # both least eigenvalues were computed by the validation of M and of the state
+    decay = math.pi * (m_min * state.im_a_min)
     # |<xi, M Im B>| <= ||M Im B||_F ||xi||_F and ||xi||_F <= sqrt(dim) ||xi||_inf
     drift = 2 * math.pi * float(np.linalg.norm(mm @ state.b.imag)) * math.sqrt(dim)
     amp = abs(state.c)

@@ -37,7 +37,7 @@ import numpy as np
 from .automorphy import J_star_M, MetaplecticElement, metaplectic_lifts
 from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement, IwasawaCoords, jacobi_act, sp_generator)
+                     SymplecticElement, IwasawaCoords, _generator_matrix, jacobi_act)
 from .linalg import holo_sqrt_det, principal_pow_half, real_sym
 from .states import (GaussianState, covariant_map, evaluate, index_matrix,
                      sample_grid)
@@ -109,11 +109,15 @@ def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
 
 
 def word_to_symplectic(word, n: int) -> SymplecticElement:
-    """Product of the generators in a word, left to right."""
-    g = SymplecticElement(np.eye(2 * n))
+    """Product of the generators in a word, left to right.
+
+    The generator matrices are multiplied as plain arrays from the identity,
+    and only the product is built as a checked ``SymplecticElement``.
+    """
+    g = np.eye(2 * n)
     for kind, par in word:
-        g = g @ sp_generator(kind, par, n=n)
-    return g
+        g = g @ _generator_matrix(kind, par, n)
+    return SymplecticElement(g)
 
 
 def weil_apply_word(m_index, word, f: GaussianState):
@@ -240,6 +244,9 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     target = covariant_map(mm, jacobi_act(elt, p))
     if grid is None:
         grid = sample_grid(m, n)
+    # each state once over the whole grid; the candidate lifts differ only in js
+    lhs = evaluate(st, mm, grid)
+    rhs = evaluate(target, mm, grid)
     lift_plus, lift_minus = metaplectic_lifts(g)
     if branch == "auto":
         candidates = [lift_plus, lift_minus]
@@ -248,7 +255,7 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     best = None
     for lift in candidates:
         js = J_star_M(mm, lift, h, p)
-        res = max(abs(evaluate(st, mm, x) - evaluate(target, mm, x) / js) for x in grid)
+        res = float(np.abs(lhs - rhs / js).max())
         if best is None or res < best[0]:
             best = (res, lift.eps)
     return best

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,3 +8,12 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for a child process that imports jacobiweil from this
+    checkout's src/, whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)

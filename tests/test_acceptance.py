@@ -260,7 +260,7 @@ def test_acceptance_09_multiplicity():
     _report(9, "multiplicity-formula", ok, f"{total} vectors, {bad} failures")
 
 
-def test_acceptance_10_determinism():
+def test_acceptance_10_determinism(cli_env):
     suites = ["maslov-axioms", "cocycles", "covariance", "theta-laws",
               "casimir-invariance"]
     counts = {"maslov-axioms": 40, "cocycles": 40, "covariance": 8,
@@ -273,7 +273,7 @@ def test_acceptance_10_determinism():
                 [sys.executable, "-m", "jacobiweil.cli", "--suite", name,
                  "--seed", "42", "--count", str(counts[name]),
                  "--threads", threads],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=cli_env)
             assert proc.returncode == 0, (name, proc.stdout, proc.stderr)
             doc = json.loads(proc.stdout)
             doc.pop("wall_time", None)

@@ -180,13 +180,38 @@ def test_cli_contract_property(spec):
         sys.stdin = saved
     lines = out.getvalue().splitlines()
     assert len(lines) == 1, lines
-    doc = json.loads(lines[0])
+    doc = _strict_json(lines[0])
     assert isinstance(doc, dict)
     assert code in (0, 1, 2, 3)
     if "error" in doc:
         assert code in (2, 3)
     else:
         assert code == (0 if doc["passed"] else 1)
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_non_finite_result_is_a_resource_error(tmp_path):
+    # the theta value is about e^785, which overflows a double: the sum comes
+    # out NaN, and strict JSON has no way to print it
+    spec = {"command": "theta", "tol": 1e-10,
+            "params": {"M": [[1.0]], "omega": [[[-0.42, 0.001]]], "z": [[[0.3, 0.5]]]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(spec))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), np.errstate(all="ignore"):
+        code = main(["--job", str(path)])
+    assert code == 3
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    doc = _strict_json(lines[0])
+    assert set(doc) == {"schema", "error"}
+    assert doc["error"].startswith("resource: ")
 
 
 def test_cli_resource_exit(tmp_path):
@@ -197,17 +222,17 @@ def test_cli_resource_exit(tmp_path):
     assert main(["--job", str(path)]) == 3
 
 
-def _run_cli(args):
+def _run_cli(args, env):
     proc = subprocess.run([sys.executable, "-m", "jacobiweil.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 
-def test_cli_suite_determinism_across_threads():
+def test_cli_suite_determinism_across_threads(cli_env):
     outs = []
     for threads in ("1", "3"):
         code, out = _run_cli(["--suite", "cocycles", "--seed", "11",
-                              "--count", "25", "--threads", threads])
+                              "--count", "25", "--threads", threads], cli_env)
         assert code == 0
         doc = json.loads(out)
         doc.pop("wall_time", None)
@@ -216,14 +241,14 @@ def test_cli_suite_determinism_across_threads():
     assert outs[0] == outs[1]
 
 
-def test_cli_job_replay_determinism(tmp_path):
+def test_cli_job_replay_determinism(tmp_path, cli_env):
     spec = {"command": "theta", "tol": 1e-10, "seed": 5,
             "params": {"M": [[2.0]], "omega": [[[0.3, 1.1]]], "z": [[[0.1, 0.2]]]}}
     path = tmp_path / "job.json"
     path.write_text(json.dumps(spec))
     outs = []
     for threads in ("1", "4"):
-        code, out = _run_cli(["--job", str(path), "--threads", threads])
+        code, out = _run_cli(["--job", str(path), "--threads", threads], cli_env)
         assert code == 0
         doc = json.loads(out)
         doc.pop("wall_time", None)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobiweil import (AsymmetryError, DomainError, holo_sqrt_det,
+from jacobiweil import (AsymmetryError, DomainError, EigenSolverError,
+                        Signature, complex_sym, holo_sqrt_det,
                         is_positive_definite, principal_pow_half, real_sym,
                         signature)
+from jacobiweil.linalg import SYM_DEFECT_TOL
 
 
 def test_signature_identity():
@@ -139,3 +141,143 @@ def test_is_positive_definite():
     assert is_positive_definite(np.eye(2))
     assert not is_positive_definite(np.diag([1.0, -1.0]))
     assert is_positive_definite(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+# --- the validators against their first versions ---------------------------
+# Reference copies of the validators as first written (two reductions with
+# np.max(..., initial=0.0), vectorised counting and np.min), kept to pin the
+# cheaper versions to the same return values and exceptions.
+
+
+def _ref_sym(a, dtype, defect_tol):
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    defect = np.max(np.abs(a - a.T), initial=0.0)
+    scale = max(1.0, np.max(np.abs(a), initial=0.0))
+    if defect > defect_tol * scale:
+        raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
+    return 0.5 * (a + a.T)
+
+
+def _ref_signature(q, zero_tol=None):
+    q = _ref_sym(q, float, SYM_DEFECT_TOL)
+    try:
+        w = np.linalg.eigvalsh(q)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigvalsh did not converge: {exc}", q) from exc
+    if zero_tol is None:
+        zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    elif zero_tol <= 0:
+        raise DomainError("zero_tol must be positive")
+    pos = int(np.sum(w > zero_tol))
+    neg = int(np.sum(w < -zero_tol))
+    return Signature(pos, neg, q.shape[0] - pos - neg)
+
+
+def _ref_is_positive_definite(y, tol=1e-12):
+    y = _ref_sym(y, float, SYM_DEFECT_TOL)
+    try:
+        w = np.linalg.eigvalsh(y)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigvalsh did not converge: {exc}", y) from exc
+    return bool(np.min(w) > tol)
+
+
+def _outcome(fn, *args):
+    """(True, value) or (False, exception type, message)."""
+    with np.errstate(all="ignore"):
+        try:
+            return True, fn(*args)
+        except (ValueError, RuntimeError) as exc:
+            return False, type(exc), str(exc)
+
+
+def _same(new, ref):
+    assert new[0] == ref[0], (new, ref)
+    if not ref[0]:
+        assert new[1] is ref[1]
+        # numpy's own messages may name the solver's internals; ours must match
+        if ref[1] is not EigenSolverError:
+            assert new[2] == ref[2]
+        return
+    got, want = new[1], ref[1]
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert type(got) is type(want) and got == want
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300])
+_ENTRY = st.one_of(st.floats(-100, 100), st.integers(-3, 3).map(float),
+                   st.floats(-100, 100), _SPECIAL)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square real matrices of size 0..9: symmetric, low rank (exact zero
+    eigenvalues), asymmetric at 0.5x and 2x the defect tolerance, or raw."""
+    k = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["symmetric", "low-rank", "asym-0.5", "asym-2", "raw"]))
+    entries = [draw(_ENTRY) for _ in range(k * k)]
+    a = np.array(entries, dtype=float).reshape(k, k)
+    if kind == "raw":
+        return a
+    if kind == "low-rank":
+        rank = draw(st.integers(0, k))
+        v = a[:, :rank]
+        with np.errstate(all="ignore"):
+            return v @ np.diag(np.sign(np.arange(rank) % 2 - 0.5)) @ v.T
+    a = np.triu(a) + np.triu(a, 1).T
+    if kind.startswith("asym") and k >= 2:
+        i, j = draw(st.sampled_from([(r, c) for r in range(k) for c in range(k) if r != c]))
+        factor = 0.5 if kind == "asym-0.5" else 2.0
+        with np.errstate(all="ignore"):
+            scale = max(1.0, float(np.max(np.abs(a))))
+            a[i, j] += factor * SYM_DEFECT_TOL * scale
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_matrices(), _square_matrices(),
+       st.sampled_from([None, 1e-9, 0.5, 0.0, -1.0]), st.sampled_from([1e-12, 0.0, 2.0]))
+def test_validators_match_first_versions(a, b, zero_tol, pd_tol):
+    _same(_outcome(real_sym, a), _outcome(_ref_sym, a, float, SYM_DEFECT_TOL))
+    if a.shape == b.shape:
+        with np.errstate(all="ignore"):
+            z = a + 1j * b
+        _same(_outcome(complex_sym, z), _outcome(_ref_sym, z, complex, SYM_DEFECT_TOL))
+    _same(_outcome(signature, a, zero_tol), _outcome(_ref_signature, a, zero_tol))
+    _same(_outcome(is_positive_definite, a, pd_tol), _outcome(_ref_is_positive_definite, a, pd_tol))
+    _same(_outcome(is_positive_definite, a), _outcome(_ref_is_positive_definite, a))
+
+
+def test_validators_edge_cases():
+    empty = np.zeros((0, 0))
+    assert real_sym(empty).shape == (0, 0) and complex_sym(empty).dtype == complex
+    assert tuple(signature(empty)) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        is_positive_definite(empty)
+    # a NaN eigenvalue anywhere makes the matrix not positive definite
+    with np.errstate(all="ignore"):
+        assert not is_positive_definite(np.diag([1.0, 2.0, math.inf]))
+    with pytest.raises(DomainError):
+        real_sym(np.zeros((2, 3)))
+    tol = SYM_DEFECT_TOL
+    real_sym(np.array([[0.0, 0.5 * tol], [0.0, 0.0]]))
+    with pytest.raises(AsymmetryError):
+        real_sym(np.array([[0.0, 2 * tol], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("w", [[0.5, math.nan, 3.0], [-40.0, math.nan, 1e-8],
+                               [math.nan, 1.0, 2.0], [1.0, 2.0, math.nan],
+                               [math.nan, math.nan, math.nan]])
+def test_validators_nan_eigenvalues_match_first_versions(w, monkeypatch):
+    # LAPACK returns some NaN eigenvalues, unsorted among the finite ones, for
+    # non-finite input; the solver is replaced so the check does not depend on
+    # which inputs a given LAPACK build does that for
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array(w))
+    q = np.eye(3)
+    _same(_outcome(signature, q), _outcome(_ref_signature, q))
+    _same(_outcome(is_positive_definite, q), _outcome(_ref_is_positive_definite, q))

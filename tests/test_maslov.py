@@ -8,7 +8,7 @@ from jacobiweil import (DomainError, Lagrangian, SymplecticElement,
                         cocycle_clm, cocycle_sl2, coordinate_lagrangian,
                         intersection_dim, maslov3, maslov_chain,
                         momentum_lagrangian, random_lagrangian,
-                        random_symplectic, tau_ell)
+                        random_symplectic, sp_generator, sp_identity, tau_ell)
 import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
 from jacobiweil.suites import rand_sl2, suite_maslov_axioms
@@ -164,3 +164,36 @@ def test_maslov3_gram_matches_np_block(rng, monkeypatch):
             index = maslov3(*ls)
             assert grams[-1].tobytes() == ref.tobytes() and grams[-1].shape == ref.shape
             assert index == real_signature(ref).net
+
+
+def _random_symplectic_per_letter(rng, n, letters=4, scale=0.6):
+    """The word product as it was first written: a checked element per
+    generator and per partial product."""
+    g = sp_identity(n)
+    for _ in range(rng.integers(1, letters + 1)):
+        kind = rng.choice(["t", "g", "sigma"])
+        if kind == "t":
+            b = rng.normal(size=(n, n)) * scale
+            g = g @ sp_generator("t", 0.5 * (b + b.T))
+        elif kind == "g":
+            al = np.eye(n) + scale * rng.normal(size=(n, n))
+            while abs(np.linalg.det(al)) < 0.3:
+                al = np.eye(n) + scale * rng.normal(size=(n, n))
+            g = g @ sp_generator("g", al)
+        else:
+            g = g @ sp_generator("sigma", n=n)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_symplectic_matches_per_letter_product(n):
+    # the same matrix bit for bit, and the same draws from the generator, so
+    # seeded suites replay the same cases
+    for seed in range(50):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = random_symplectic(fast, n)
+        expected = _random_symplectic_per_letter(ref, n)
+        assert isinstance(g, SymplecticElement)
+        assert g.g.shape == expected.g.shape
+        assert g.g.tobytes() == expected.g.tobytes()
+        assert fast.random() == ref.random()

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement,
-                        SiegelJacobiPoint, covariant_map,
+                        SiegelJacobiPoint, SymplecticElement, covariant_map,
                         covariance_residual, evaluate, ground_state,
                         l2_norm_sq, sample_grid, schrodinger_apply,
-                        state_distance, sw_heisenberg_apply, theta_M,
-                        weil_apply_word, weil_generator_apply)
+                        sp_generator, state_distance, sw_heisenberg_apply,
+                        theta_M, weil_apply_word, weil_generator_apply)
 from jacobiweil.maslov import cocycle_sl2
 from jacobiweil.suites import (rand_heisenberg, rand_index, rand_point,
                                rand_word)
@@ -58,6 +58,30 @@ def test_covariant_map_lattice_sum_is_theta(rng):
     direct = sum(evaluate(f, mm, np.array([[float(a)]])) for a in range(-25, 26))
     tv = theta_M(mm, p, 1e-11)
     assert abs(direct - tv.value) < 1e-10
+
+
+def test_evaluate_stack_matches_points(rng):
+    for _ in range(30):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        f = rand_state(rng, n, m)
+        mm = rand_index(rng, m)
+        grid = sample_grid(m, n)
+        stacked = evaluate(f, mm, grid)
+        assert stacked.shape == (len(grid),)
+        for x, value in zip(grid, stacked):
+            single = evaluate(f, mm, x)
+            assert isinstance(single, complex)
+            assert abs(value - single) <= 1e-15 * abs(single)
+        # any leading shape: the values come back in the same layout
+        block = np.stack(grid[:12]).reshape(3, 4, m, n)
+        assert np.array_equal(evaluate(f, mm, block).ravel(), evaluate(f, mm, grid[:12]))
+
+
+def test_evaluate_rejects_wrong_point_shape(rng):
+    f = rand_state(rng, 2, 1)
+    for bad in (np.zeros((2, 1)), np.zeros(2), np.zeros((5, 1, 3)), 0.0):
+        with pytest.raises(DomainError):
+            evaluate(f, np.eye(1), bad)
 
 
 def test_state_rejects_bad_quadratic():
@@ -344,3 +368,24 @@ def test_calibration_regression(rng):
     grid = sample_grid(1, 2)
     res = max(abs(evaluate(st, mm, x) - evaluate(target, mm, x) / js) for x in grid)
     assert res > 1e-3
+
+
+def _word_product_per_letter(word, n):
+    """The word product as it was first written: a checked element per
+    generator and per partial product."""
+    g = SymplecticElement(np.eye(2 * n))
+    for kind, par in word:
+        g = g @ sp_generator(kind, par, n=n)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_to_symplectic_matches_per_letter_product(n):
+    for seed in range(50):
+        word = rand_word(np.random.default_rng(seed), n)
+        g = word_to_symplectic(word, n)
+        expected = _word_product_per_letter(word, n)
+        assert isinstance(g, SymplecticElement)
+        assert g.g.shape == expected.g.shape
+        assert g.g.tobytes() == expected.g.tobytes()
+    assert word_to_symplectic([], n).g.tobytes() == np.eye(2 * n).tobytes()
