@@ -137,9 +137,6 @@ class MetaplecticElement:
         beta = beta_cocycle(1j * np.eye(n), self.g, other.g)
         return MetaplecticElement(self.g @ other.g, self.eps * other.eps * beta)
 
-    def other_lift(self) -> "MetaplecticElement":
-        return MetaplecticElement(self.g, -self.eps)
-
 
 def metaplectic_lifts(g: SymplecticElement) -> tuple[MetaplecticElement, MetaplecticElement]:
     """The two lifts (g, ±eps0) with eps0 the principal root of alpha^{-1}."""

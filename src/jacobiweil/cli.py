@@ -9,14 +9,14 @@ single JSON object on stdout, strict JSON (no NaN or infinity); exit codes:
 JobSpec: {"command": <name>, "params": {...}, "tol": float, "seed": int}
 with command one of theta, theta-sum, maslov, cocycle, covariance,
 verify-suite, casimir, multiplicity.  Matrices are row-major nested arrays,
-complex scalars [re, im].
+complex scalars [re, im].  Every real is a finite JSON number: a string, a bool,
+NaN or infinity in its place is a usage error (see ``serialize.decode_real``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -37,9 +37,9 @@ from .weil import covariance_residual
 SCHEMA = "1"
 
 
-# The two field readers test type() rather than isinstance(): JSON true/false
+# The field readers test type() rather than isinstance(): JSON true/false
 # decode to bool, an int subclass.  int() and float() would turn 2.7 into 2
-# and false into 0.
+# and false into 0.  float() of an int above the float range overflows.
 def _integer(name, value) -> int:
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -47,9 +47,14 @@ def _integer(name, value) -> int:
 
 
 def _positive(name, value) -> float:
-    if not (type(value) in (int, float) and 0 < value < math.inf):
+    if not (type(value) in (int, float) and 0 < value <= sys.float_info.max):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def _real_vector(value) -> np.ndarray:
+    """A JSON list of reals as a float vector; one bare real is a 1-vector."""
+    return serialize.decode_real_matrix([value if isinstance(value, list) else [value]])[0]
 
 
 def _decode_word(spec):
@@ -86,10 +91,10 @@ def _job_theta_sum(params, tol):
     n = _integer("n", params["n"])
     f = serialize.decode_state(params["f"]) if "f" in params else ground_state(n)
     coords = IwasawaCoords(serialize.decode_complex(params["tau"]),
-                           float(params.get("theta", 0.0)))
-    xi = LatticePair(np.asarray(params.get("lambda", [0.0] * n), dtype=float),
-                     np.asarray(params.get("mu", [0.0] * n), dtype=float))
-    tv = theta_sum_f(f, coords, xi, t=float(params.get("t", 0.0)), tol=tol)
+                           serialize.decode_real(params.get("theta", 0.0)))
+    xi = LatticePair(_real_vector(params.get("lambda", [0.0] * n)),
+                     _real_vector(params.get("mu", [0.0] * n)))
+    tv = theta_sum_f(f, coords, xi, t=serialize.decode_real(params.get("t", 0.0)), tol=tol)
     return {"value": serialize.encode_complex(tv.value)}, _certification(tv), True
 
 
@@ -108,7 +113,7 @@ def _job_cocycle(params, tol):
                           serialize.decode_real_matrix(params["M2"]),
                           _integer("n", params.get("n", 1)))
     elif variant == "clm":
-        val = cocycle_clm(float(params.get("m", 1.0)),
+        val = cocycle_clm(serialize.decode_real(params.get("m", 1.0)),
                           Lagrangian(serialize.decode_real_matrix(params["lagrangian"])),
                           serialize.decode_symplectic(params["g1"]),
                           serialize.decode_symplectic(params["g2"]))
@@ -199,18 +204,21 @@ def run_job(spec: dict) -> tuple[dict, int]:
     return result, 0 if ok else 1
 
 
+# built once: building it takes about ten times as long as one parse_args
+_PARSER = argparse.ArgumentParser(
+    prog="jacobiweil",
+    description="Evaluation and verification jobs with JSON output")
+_PARSER.add_argument("--job", help="path to a JobSpec JSON file ('-' for stdin)")
+_PARSER.add_argument("--suite", choices=sorted(SUITES), help="named verification suite")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--count", type=int, default=20)
+_PARSER.add_argument("--tol", type=float, default=None)
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="jacobiweil",
-        description="Evaluation and verification jobs with JSON output")
-    parser.add_argument("--job", help="path to a JobSpec JSON file ('-' for stdin)")
-    parser.add_argument("--suite", choices=sorted(SUITES), help="named verification suite")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.suite is not None:
@@ -221,7 +229,7 @@ def main(argv=None) -> int:
             raw = sys.stdin.read() if args.job == "-" else open(args.job).read()
             spec = json.loads(raw)
         else:
-            parser.print_usage(sys.stderr)
+            _PARSER.print_usage(sys.stderr)
             return 2
         result, code = run_job(spec)
     # LinAlgError subclasses ValueError, so the resource handler comes first

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import HeisenbergElement
-from .linalg import complex_sym, is_positive_definite
+from .linalg import _require_pd, complex_sym
 from .states import index_matrix
 
 DEGREE_CAP = 8
@@ -88,8 +88,7 @@ def fock_apply(m_index, omega, h: HeisenbergElement, f: FockState) -> FockState:
     """
     mm = index_matrix(m_index)
     omega = complex_sym(omega)
-    if not is_positive_definite(omega.imag):
-        raise DomainError("Omega must lie in the Siegel upper half space")
+    _require_pd(omega.imag, "Omega must lie in the Siegel upper half space")
     m, n = f.shape
     if h.shape != (m, n) or omega.shape != (n, n):
         raise DomainError("dimension mismatch")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .linalg import complex_sym, is_positive_definite, real_sym
+from .linalg import _require_pd, complex_sym, real_sym
 
 SP_TOL = 1e-10
 HEIS_TOL = 1e-10
@@ -244,8 +244,7 @@ class SiegelJacobiPoint:
         z = np.asarray(self.z, dtype=complex)
         if z.ndim != 2 or z.shape[1] != omega.shape[0]:
             raise DomainError("Z must be an (m, n) matrix matching Omega")
-        if not is_positive_definite(omega.imag):
-            raise DomainError("Im(Omega) must be positive definite")
+        _require_pd(omega.imag, "Im(Omega) must be positive definite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "z", z)
 
@@ -281,6 +280,16 @@ def jacobi_act(elt: JacobiElement, p: SiegelJacobiPoint) -> SiegelJacobiPoint:
 # SL(2, R): Iwasawa machinery and the embedding into Sp(n, R)
 
 
+def _sl2_entries(mat) -> tuple[float, float, float, float]:
+    """The entries (a, b, c, d) of a real 2 x 2 matrix whose determinant is 1 within 1e-10."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (2, 2):
+        raise DomainError("expected a 2x2 matrix")
+    if abs(np.linalg.det(mat) - 1.0) > 1e-10:
+        raise DomainError("matrix must have determinant 1")
+    return tuple(mat.ravel())
+
+
 @dataclass(frozen=True)
 class IwasawaCoords:
     """(tau, theta) with M = translation(x) dilation(sqrt y) rotation(theta)."""
@@ -301,12 +310,7 @@ def iwasawa_sl2(mat) -> IwasawaCoords:
     theta = atan2(c, d) reduced to [0, 2pi), y = 1/(c^2+d^2) and
     x = Re(M.i).
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2):
-        raise DomainError("expected a 2x2 matrix")
-    if abs(np.linalg.det(mat) - 1.0) > 1e-10:
-        raise DomainError("matrix must have determinant 1")
-    a, b, c, d = mat.ravel()
+    a, b, c, d = _sl2_entries(mat)
     den = c * c + d * d
     y = 1.0 / den
     x = (a * c + b * d) / den
@@ -326,10 +330,7 @@ def iwasawa_matrix(coords: IwasawaCoords) -> np.ndarray:
 
 def sl2_act_circle(mat, coords: IwasawaCoords) -> IwasawaCoords:
     """Action on H_1 x [0, 2pi): (M.tau, theta + arg(c tau + d) mod 2pi)."""
-    mat = np.asarray(mat, dtype=float)
-    if abs(np.linalg.det(mat) - 1.0) > 1e-10:
-        raise DomainError("matrix must have determinant 1")
-    a, b, c, d = mat.ravel()
+    a, b, c, d = _sl2_entries(mat)
     tau = coords.tau
     j = c * tau + d
     tau2 = (a * tau + b) / j
@@ -338,9 +339,6 @@ def sl2_act_circle(mat, coords: IwasawaCoords) -> IwasawaCoords:
 
 def embed_sl2(mat, n: int) -> SymplecticElement:
     """[[a, b], [c, d]] -> [[a I_n, b I_n], [c I_n, d I_n]]."""
-    mat = np.asarray(mat, dtype=float)
-    if abs(np.linalg.det(mat) - 1.0) > 1e-10:
-        raise DomainError("matrix must have determinant 1")
-    a, b, c, d = mat.ravel()
+    a, b, c, d = _sl2_entries(mat)
     i = np.eye(n)
     return SymplecticElement(_block([[a * i, b * i], [c * i, d * i]], n))

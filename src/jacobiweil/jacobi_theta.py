@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .groups import HeisenbergElement, IwasawaCoords, sl2_act_circle
+from .groups import HeisenbergElement, IwasawaCoords, _sl2_entries, sl2_act_circle
 from .states import GaussianState
 from .theta import ThetaValue, lattice_sum
 from .weil import sw_heisenberg_apply, sw_iwasawa_apply, sw_rotation_apply
@@ -51,18 +51,20 @@ def xi_to_heisenberg(xi: LatticePair, t: float = 0.0) -> HeisenbergElement:
 
 
 def sl2_on_xi(mat, xi: LatticePair) -> LatticePair:
-    """Columnwise linear action (lam, mu) -> (a lam + b mu, c lam + d mu)."""
-    a, b, c, d = np.asarray(mat, dtype=float).ravel()
+    """Columnwise linear action (lam, mu) -> (a lam + b mu, c lam + d mu) of an
+    SL(2, R) matrix; any other matrix raises DomainError."""
+    a, b, c, d = _sl2_entries(mat)
     return LatticePair(a * xi.lam + b * xi.mu, c * xi.lam + d * xi.mu)
 
 
 def theta_state(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
-                t: float = 0.0, theta: float | None = None) -> GaussianState:
-    """The Gaussian state W((xi; t)) R~(tau, theta) f whose lattice sum is Theta_f."""
+                t: float = 0.0) -> GaussianState:
+    """The Gaussian state W((xi; t)) R~(tau, theta) f whose lattice sum is Theta_f,
+    at the reduced angle theta in [0, 2 pi) stored in ``coords``."""
     if f.shape != (1, xi.n):
         raise DomainError("state shape must be (1, n) matching xi")
     one = np.eye(1)
-    st = sw_iwasawa_apply(one, coords, f, theta=theta)
+    st = sw_iwasawa_apply(one, coords, f)
     return sw_heisenberg_apply(one, xi_to_heisenberg(xi, t), st)
 
 

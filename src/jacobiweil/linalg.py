@@ -82,30 +82,19 @@ def _has_nan(w: list[float]) -> bool:
     return any(v != v for v in w)
 
 
-def signature(q, zero_tol: float | None = None) -> Signature:
-    """Signature of a real symmetric matrix.
+def signature(q) -> Signature:
+    """Signature of a real symmetric matrix (symmetrized on entry).
 
-    Parameters
-    ----------
-    q : array_like
-        Real symmetric matrix (symmetrized on entry).
-    zero_tol : float, optional
-        Absolute threshold separating zero eigenvalues.  Default is
-        1e-9 scaled by the largest absolute eigenvalue; the forms this
-        package feeds in are exactly rank-deficient, so a relative
-        threshold keeps the integer output stable.
-
-    The eigenvalues come sorted from ``eigvalsh``, so the largest absolute
-    one is at an end of the list, and the counts are taken in scalar code.
-    A NaN eigenvalue leaves the scale at 1.
+    An eigenvalue counts as zero when its absolute value is at most 1e-9
+    times max(1, largest absolute eigenvalue); the forms this package feeds
+    in are exactly rank-deficient, so a relative threshold keeps the integer
+    output stable.  The eigenvalues come sorted from ``eigvalsh``, so the
+    largest absolute one is at an end of the list, and the counts are taken
+    in scalar code.  A NaN eigenvalue leaves the scale at 1.
     """
     q = real_sym(q)
     w = _eigvalsh(q)
-    if zero_tol is None:
-        top = 1.0 if not w or _has_nan(w) else max(1.0, -w[0], w[-1])
-        zero_tol = 1e-9 * top
-    elif zero_tol <= 0:
-        raise DomainError("zero_tol must be positive")
+    zero_tol = 1e-9 * (1.0 if not w or _has_nan(w) else max(1.0, -w[0], w[-1]))
     pos = sum(v > zero_tol for v in w)
     neg = sum(v < -zero_tol for v in w)
     return Signature(pos, neg, q.shape[0] - pos - neg)
@@ -123,9 +112,18 @@ def _min_eigenvalue(y: np.ndarray) -> float:
     return math.nan if _has_nan(w) else w[0]
 
 
-def is_positive_definite(y, tol: float = PD_TOL) -> bool:
-    """True iff all eigenvalues of the symmetric matrix exceed ``tol``."""
-    return bool(_min_eigenvalue(real_sym(y)) > tol)
+def _require_pd(y: np.ndarray, message: str) -> float:
+    """The least eigenvalue of ``y``, already symmetric (the constructors pass the
+    matrix they just symmetrized); unless it exceeds PD_TOL, DomainError(message)."""
+    lam = _min_eigenvalue(y)
+    if not lam > PD_TOL:
+        raise DomainError(message)
+    return lam
+
+
+def is_positive_definite(y) -> bool:
+    """True iff all eigenvalues of the symmetric matrix exceed PD_TOL."""
+    return bool(_min_eigenvalue(real_sym(y)) > PD_TOL)
 
 
 def principal_pow_half(z: complex, kappa: int) -> complex:
@@ -156,8 +154,7 @@ def holo_sqrt_det(s) -> complex:
     the unique holomorphic branch on this simply connected domain.
     """
     s = complex_sym(s)
-    if not is_positive_definite(s.real):
-        raise DomainError("Re(S) must be positive definite")
+    _require_pd(s.real, "Re(S) must be positive definite")
     try:
         w = np.linalg.eigvals(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import SymplecticElement, _block, _generator_matrix, symplectic_form
+from .groups import SymplecticElement, _block, _generator_matrix, _sl2_entries, symplectic_form
 from .linalg import signature
 
 ISO_TOL = 1e-10
@@ -110,32 +110,28 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
-    for m in (m1, m2):
-        if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > 1e-10:
-            raise DomainError("inputs must be 2x2 of determinant 1")
-    c1, c2, c3 = m1[1, 0], m2[1, 0], (m1 @ m2)[1, 0]
+    c1, c2, c3 = _sl2_entries(m1)[2], _sl2_entries(m2)[2], (m1 @ m2)[1, 0]
     s = np.sign(c1) * np.sign(c2) * np.sign(c3)
     return cmath.exp(-1j * math.pi * n * s / 4)
 
 
-def random_symplectic(rng: np.random.Generator, n: int, letters: int = 4,
-                      scale: float = 0.6) -> SymplecticElement:
-    """Random word in the t/g/sigma generators; exact group membership.
+def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
+    """Random word of 1 to 4 t/g/sigma generators with parameters at scale 0.6.
 
     The generator matrices are multiplied as plain arrays, left to right from
     the identity, and only the product is built as a checked
-    ``SymplecticElement``.
+    ``SymplecticElement``: exact group membership.
     """
     g = np.eye(2 * n)
-    for _ in range(rng.integers(1, letters + 1)):
+    for _ in range(rng.integers(1, 5)):
         kind = rng.choice(["t", "g", "sigma"])
         if kind == "t":
-            b = rng.normal(size=(n, n)) * scale
+            b = rng.normal(size=(n, n)) * 0.6
             g = g @ _generator_matrix("t", 0.5 * (b + b.T))
         elif kind == "g":
-            al = np.eye(n) + scale * rng.normal(size=(n, n))
+            al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
             while abs(np.linalg.det(al)) < 0.3:
-                al = np.eye(n) + scale * rng.normal(size=(n, n))
+                al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
             g = g @ _generator_matrix("g", al)
         else:
             g = g @ _generator_matrix("sigma", n=n)

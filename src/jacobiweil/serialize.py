@@ -5,6 +5,8 @@ Complex numbers encode as [re, im]; matrices as row-major nested lists.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import DomainError
@@ -18,11 +20,19 @@ def encode_complex(z: complex):
     return [z.real, z.imag]
 
 
+def decode_real(v) -> float:
+    """A finite JSON number as a float.  Bools (an int subclass), strings, the NaN and
+    Infinity that json.loads reads, and ints beyond the float range raise DomainError."""
+    if type(v) in (int, float) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise DomainError(f"expected a finite real number, got {v!r}")
+
+
 def decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(decode_real(v[0]), decode_real(v[1]))
+    if type(v) in (int, float):
+        return complex(decode_real(v))
     raise DomainError(f"cannot decode complex from {v!r}")
 
 
@@ -34,7 +44,7 @@ def encode_matrix(a):
 
 
 def decode_real_matrix(rows) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+    return np.array([[decode_real(v) for v in row] for row in rows], dtype=float)
 
 
 def decode_complex_matrix(rows, shape: tuple | None = None) -> np.ndarray:
@@ -55,7 +65,8 @@ def decode_complex_matrix(rows, shape: tuple | None = None) -> np.ndarray:
         return out
     if out is not None and out.shape == tuple(shape):
         return out
-    flat = [float(v) for row in rows for v in np.ravel(row)]
+    # an object array keeps each JSON value as read, for decode_real to check
+    flat = [decode_real(v) for row in rows for v in np.ravel(np.asarray(row, dtype=object))]
     r, c = shape
     if len(flat) == 2 * r * c:
         pairs = np.array(flat).reshape(r, c, 2)

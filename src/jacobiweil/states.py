@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import SiegelJacobiPoint
-from .linalg import PD_TOL, _min_eigenvalue, complex_sym, real_sym
+from .linalg import _require_pd, complex_sym, real_sym
 
 
 def index_matrix(m) -> np.ndarray:
@@ -26,10 +26,7 @@ def index_matrix(m) -> np.ndarray:
 def _index_matrix(m) -> tuple[np.ndarray, float]:
     """``index_matrix``, and the least eigenvalue of M that its check computed."""
     m = real_sym(m)
-    lam = _min_eigenvalue(m)
-    if not lam > PD_TOL:
-        raise DomainError("index matrix must be positive definite")
-    return m, lam
+    return m, _require_pd(m, "index matrix must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,7 @@ class GaussianState:
             raise DomainError("B must be (m, n) with n matching A")
         im_a_min = math.nan
         if complex(self.c) != 0:
-            # Im A of the symmetrized A is symmetric already
-            im_a_min = _min_eigenvalue(a.imag)
-            if not im_a_min > PD_TOL:
-                raise DomainError("Im(A) must be positive definite")
+            im_a_min = _require_pd(a.imag, "Im(A) must be positive definite")
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -115,26 +109,23 @@ def l2_norm_sq(state: GaussianState, m_index) -> float:
     return float(abs(state.c) ** 2 * 2 ** (-m * n / 2) * det ** -0.5 * np.exp(2 * np.pi * corr))
 
 
-def sample_grid(m: int, n: int, count: int = 17) -> list[np.ndarray]:
-    """Deterministic real sample points (first point is the origin)."""
+def sample_grid(m: int, n: int) -> list[np.ndarray]:
+    """The 17 deterministic real sample points of shape (m, n); the first is the origin."""
     pts = [np.zeros((m, n))]
-    for j in range(1, count):
+    for j in range(1, 17):
         vec = np.cos(1.7 * j + 0.9 * np.arange(m * n)) * (0.15 + 0.06 * j)
         pts.append(vec.reshape(m, n))
     return pts
 
 
-def state_distance(f: GaussianState, g: GaussianState, m_index,
-                   normalize_phase: bool = False) -> float:
-    """Max pointwise difference on the deterministic grid plus parameter distance.
+def state_distance(f: GaussianState, g: GaussianState, m_index) -> float:
+    """Max pointwise difference on ``sample_grid`` plus parameter distance.
 
-    With ``normalize_phase`` the amplitude phase of ``f`` is rotated onto
-    ``g`` before comparing, so the result measures projective distance.
+    The amplitudes are compared as they are, phase included, so the result
+    measures the distance of the states, not of the rays they span.
     """
     if f.shape != g.shape:
         raise DomainError("shape mismatch")
-    if normalize_phase and f.c != 0 and g.c != 0:
-        f = f.scaled((g.c / f.c) / abs(g.c / f.c))
     grid = sample_grid(*f.shape)
     point = np.abs(evaluate(f, m_index, grid) - evaluate(g, m_index, grid)).max()
     par = max(np.max(np.abs(f.a - g.a)), np.max(np.abs(f.b - g.b)), abs(f.c - g.c))

@@ -209,18 +209,18 @@ def theta_weight_quarter(tau: complex, tol: float) -> complex:
 
 
 def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
-                        grid_points: int = 32, refine_tol: float | None = 1e-8) -> complex:
+                        grid_points: int = 32) -> complex:
     """Coefficient of exp(2 pi i tr(T Omega)) exp(2 pi i tr(R Z)) of a
     1-periodic holomorphic function on the Siegel-Jacobi space.
 
     Trapezoidal quadrature over the period cube in the independent real
     coordinates (upper triangle of X = Re Omega, all of U = Re Z) at the
     fixed imaginary parts of ``p0``; exponentially convergent for holomorphic
-    integrands.  With ``refine_tol`` set, ``func`` is sampled on the doubled
-    grid of 2 * ``grid_points`` ticks per coordinate, the coarse rule is the
-    mean over its even-index points (k/N == 2k/(2N) exactly), and a
-    disagreement of the two rules above the tolerance raises
-    ConvergenceError.
+    integrands.  ``func`` is sampled on the doubled grid of
+    2 * ``grid_points`` ticks per coordinate, and the result is the rule on
+    that grid.  The coarse rule is the mean over its even-index points
+    (k/N == 2k/(2N) exactly); a disagreement of the two rules above
+    1e-8 * max(1, |result|) raises ConvergenceError.
     """
     n, m = p0.n, p0.m
     t_matrix = np.asarray(t_matrix, dtype=float)
@@ -230,7 +230,7 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     if int(grid_points) != grid_points or grid_points < 1:
         raise DomainError("grid_points must be a positive integer")
 
-    npts = grid_points if refine_tol is None else 2 * grid_points
+    npts = 2 * grid_points
     rows, cols = np.triu_indices(n)
     dims = len(rows) + m * n
     idx = np.indices((npts,) * dims).reshape(dims, -1)
@@ -247,10 +247,8 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     comp = np.exp(-2j * np.pi * (np.trace(t_matrix @ (1j * p0.omega.imag))
                                  + np.trace(r_matrix @ (1j * p0.z.imag))))
     fine = complex(terms.mean() * comp)
-    if refine_tol is None:
-        return fine
     coarse = complex(terms[(idx % 2 == 0).all(axis=0)].mean() * comp)
-    if abs(fine - coarse) > refine_tol * max(1.0, abs(fine)):
+    if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
         raise ConvergenceError(
             f"quadrature refinement moved the coefficient by {abs(fine - coarse):.3e}")
     return fine

@@ -201,17 +201,16 @@ def sw_rotation_apply(m_index, theta: float, f: GaussianState) -> GaussianState:
     return GaussianState(c2, (cos * f.a - sin * np.eye(n)) @ d_inv, b2)
 
 
-def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState,
-                     theta: float | None = None) -> GaussianState:
+def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState) -> GaussianState:
     """R~(tau, theta) = U(t(x I)) U(g(sqrt(y) I)) R~(i, theta).
 
-    ``theta`` overrides the reduced angle stored in ``coords`` when the
-    caller needs the unreduced (double cover) angle.
+    theta is the angle stored in ``coords``, reduced to [0, 2 pi); a caller
+    that needs the unreduced (double cover) angle applies
+    ``sw_rotation_apply`` at that angle itself.
     """
     n = f.shape[1]
     x, y = coords.tau.real, coords.tau.imag
-    th = coords.theta if theta is None else theta
-    out = sw_rotation_apply(m_index, th, f)
+    out = sw_rotation_apply(m_index, coords.theta, f)
     out = weil_generator_apply(m_index, ("g", math.sqrt(y) * np.eye(n)), out)
     return weil_generator_apply(m_index, ("t", x * np.eye(n)), out)
 
@@ -221,8 +220,8 @@ def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState,
 
 
 def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoint,
-                        branch: complex | str = "auto", grid=None):
-    """Sup over the grid of |omega(g~) F_{O,Z}(x) - J*(g~,(O,Z))^{-1} F_{g~.(O,Z)}(x)|.
+                        branch: complex | str = "auto"):
+    """Sup over ``sample_grid`` of |omega(g~) F_{O,Z}(x) - J*(g~,(O,Z))^{-1} F_{g~.(O,Z)}(x)|.
 
     The element is (word product, h) with a metaplectic branch; ``"auto"``
     selects the lift matching the word and reports it.
@@ -242,8 +241,7 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
         g = SymplecticElement(np.eye(2 * n))
     elt = JacobiElement(g, h)
     target = covariant_map(mm, jacobi_act(elt, p))
-    if grid is None:
-        grid = sample_grid(m, n)
+    grid = sample_grid(m, n)
     # each state once over the whole grid; the candidate lifts differ only in js
     lhs = evaluate(st, mm, grid)
     rhs = evaluate(target, mm, grid)

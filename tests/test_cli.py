@@ -116,6 +116,27 @@ def test_cli_usage_errors(tmp_path, capsys):
          "params": {"type": "clm", "lagrangian": [[1.0], [0.0]],
                     "g1": {"matrix": [[math.nan, math.nan], [math.nan, math.nan]]},
                     "g2": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}},
+        # every real is a finite JSON number: no string, bool, NaN or infinity
+        # (json.dumps writes math.nan and math.inf as the bare NaN and Infinity)
+        {"command": "theta-sum", "params": {"n": 1, "tau": [0.0, 1.0], "t": "nan"}},
+        {"command": "theta-sum", "params": {"n": 1, "tau": [0.0, 1.0], "t": math.nan}},
+        {"command": "theta-sum", "params": {"n": 1, "tau": [0.0, 1.0], "lambda": ["inf"]}},
+        {"command": "theta-sum", "params": {"n": 1, "tau": [0.0, 1.0], "mu": [math.inf]}},
+        {"command": "theta-sum", "params": {"n": 1, "tau": [0.0, 1.0], "theta": True}},
+        {"command": "theta-sum", "params": {"n": 1, "tau": [math.nan, 1.0]}},
+        {"command": "theta", "params": {"M": [["2"]], "omega": [[[0.0, 1.0]]],
+                                        "z": [[[0.0, 0.0]]]}},
+        {"command": "theta", "params": {"M": [[2.0]], "omega": [[0.0, "1"]], "n": 1,
+                                        "z": [[[0.0, 0.0]]]}},
+        {"command": "cocycle",
+         "params": {"type": "clm", "m": "nan", "lagrangian": [[1.0], [0.0]],
+                    "g1": {"matrix": [[0.0, -1.0], [1.0, 0.0]]},
+                    "g2": {"matrix": [[1.0, 0.0], [1.0, 1.0]]}}},
+        {"command": "cocycle", "params": {"type": "sl2", "M1": [[1.0, 0.0], [0.0, "1"]],
+                                          "M2": [[1.0, 0.0], [0.0, 1.0]]}},
+        # an integer literal beyond the largest float
+        {"command": "casimir", "params": {"function": "constant", "k": 2, "m": 1,
+                                          "h": 10 ** 400, "tau": [0.2, 1.1], "z": [0.1, 0.2]}},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))

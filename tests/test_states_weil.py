@@ -131,7 +131,7 @@ def test_schrodinger_pointwise_oracle(rng):
             f = rand_state(rng, n, m)
             h = rand_heisenberg(rng, n, m)
             out = schrodinger_apply(mm, h, f, scale=scale)
-            for x in sample_grid(m, n, 10):
+            for x in sample_grid(m, n):
                 direct = cmath.exp(2j * math.pi * scale * np.trace(
                     mm @ (h.kappa + h.mu @ h.lam.T + 2 * x @ h.mu.T))) \
                     * evaluate(f, mm, x + h.lam)
