@@ -14,7 +14,7 @@ from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement,
                      heis_conjugate, heis_identity, heis_mul, iwasawa_matrix,
                      iwasawa_sl2, jacobi_act, jacobi_identity, jacobi_mul,
                      sl2_act_circle, sp_act, sp_generator, sp_identity,
-                     symplectic_form)
+                     symplectic_form, word_to_symplectic)
 from .jacobi_theta import (LatticePair, asymptotic_main_term,
                            check_gamma_invariance, gamma_n_generators,
                            theta_state, theta_sum_f, xi_to_heisenberg)
@@ -32,7 +32,6 @@ from .theta import (ThetaValue, Truncation, fourier_coefficient, lattice_sum,
                     siegel_theta, theta_M, theta_weight_quarter)
 from .weil import (SW_SCALE, covariance_residual, rotation_word,
                    schrodinger_apply, sw_heisenberg_apply, sw_iwasawa_apply,
-                   sw_rotation_apply, weil_apply_word, weil_generator_apply,
-                   word_to_symplectic)
+                   sw_rotation_apply, weil_apply_word, weil_generator_apply)
 
 __version__ = "0.1.0"

@@ -37,9 +37,8 @@ from .weil import covariance_residual
 SCHEMA = "1"
 
 
-# The field readers test type() rather than isinstance(): JSON true/false
-# decode to bool, an int subclass.  int() and float() would turn 2.7 into 2
-# and false into 0.  float() of an int above the float range overflows.
+# type() rather than isinstance(): JSON true/false decode to bool, an int
+# subclass, and int() would turn 2.7 into 2 and false into 0.
 def _integer(name, value) -> int:
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -47,9 +46,10 @@ def _integer(name, value) -> int:
 
 
 def _positive(name, value) -> float:
-    if not (type(value) in (int, float) and 0 < value <= sys.float_info.max):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
+    value = serialize.decode_real(value)
+    if not value > 0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return value
 
 
 def _real_vector(value) -> np.ndarray:

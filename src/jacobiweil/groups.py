@@ -111,34 +111,59 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
 
     ``t(b)`` = [[I, b], [0, I]] for symmetric b; ``g(alpha)`` =
     [[alpha^T, 0], [0, alpha^{-1}]] for invertible alpha; ``sigma`` =
-    [[0, -I], [I, 0]].
+    [[0, -I], [I, 0]].  With n given, b or alpha must be n x n.
     """
     return SymplecticElement(_generator_matrix(kind, parameter, n))
 
 
-def _generator_matrix(kind: str, parameter=None, n: int | None = None) -> np.ndarray:
-    """The matrix of ``sp_generator(kind, parameter, n)``, with its parameter
-    checks but without building a checked element: word products multiply
-    these and check only the final product."""
-    if kind == "t":
-        b = real_sym(parameter)
-        n = b.shape[0]
-        i = np.eye(n)
-        return _block([[i, b], [None, i]], n)
-    if kind == "g":
-        al = np.asarray(parameter, dtype=float)
-        if al.ndim != 2 or al.shape[0] != al.shape[1]:
-            raise DomainError("alpha must be square")
-        if abs(np.linalg.det(al)) < 1e-12:
-            raise DomainError("alpha must be invertible")
-        n = al.shape[0]
-        return _block([[al.T, None], [None, np.linalg.inv(al)]], n)
+def _letter(kind: str, parameter, n: int | None):
+    """The checked parameter of a generator letter, for its matrix and its Weil
+    operator alike: the symmetrized b of ``"t"`` (``real_sym``), ``(alpha, det
+    alpha)`` for a square ``"g"`` with |det alpha| >= 1e-12, or None for
+    ``"sigma"``, which needs n.  With n given, b or alpha must be n x n."""
     if kind == "sigma":
         if n is None:
             raise DomainError("sigma generator needs the dimension n")
-        i = np.eye(n)
-        return _block([[None, -i], [i, None]], n)
-    raise DomainError(f"unknown generator kind {kind!r}")
+        return None
+    if kind == "t":
+        par = real_sym(parameter)
+    elif kind == "g":
+        par = np.asarray(parameter, dtype=float)
+        if par.ndim != 2 or par.shape[0] != par.shape[1]:
+            raise DomainError("alpha must be square")
+        det = np.linalg.det(par)
+        if abs(det) < 1e-12:
+            raise DomainError("alpha must be invertible")
+    else:
+        raise DomainError(f"unknown generator kind {kind!r}")
+    if n is not None and par.shape[0] != n:
+        raise DomainError(f"generator parameter must be {n} x {n}, got shape {par.shape}")
+    return par if kind == "t" else (par, det)
+
+
+def _generator_matrix(kind: str, parameter=None, n: int | None = None) -> np.ndarray:
+    """The matrix of ``sp_generator(kind, parameter, n)``, its letter checked
+    by ``_letter``, without building a checked element."""
+    par = _letter(kind, parameter, n)
+    if kind == "t":
+        i = np.eye(len(par))
+        return _block([[i, par], [None, i]], len(par))
+    if kind == "g":
+        al, _ = par
+        return _block([[al.T, None], [None, np.linalg.inv(al)]], len(al))
+    i = np.eye(n)
+    return _block([[None, -i], [i, None]], n)
+
+
+def word_to_symplectic(word, n: int) -> SymplecticElement:
+    """Product of the generators in a word, left to right; the empty word gives I.
+
+    Each letter is checked against n; the matrices are multiplied as plain
+    arrays, and only the product is checked as a ``SymplecticElement``."""
+    g = np.eye(2 * n)
+    for kind, par in word:
+        g = g @ _generator_matrix(kind, par, n)
+    return SymplecticElement(g)
 
 
 @dataclass(frozen=True)
@@ -285,7 +310,8 @@ def _sl2_entries(mat) -> tuple[float, float, float, float]:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise DomainError("expected a 2x2 matrix")
-    if abs(np.linalg.det(mat) - 1.0) > 1e-10:
+    # not <=, so that a NaN or infinite determinant fails too
+    if not abs(np.linalg.det(mat) - 1.0) <= 1e-10:
         raise DomainError("matrix must have determinant 1")
     return tuple(mat.ravel())
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import SymplecticElement, _block, _generator_matrix, _sl2_entries, symplectic_form
+from .groups import (SymplecticElement, _block, _sl2_entries, symplectic_form,
+                     word_to_symplectic)
 from .linalg import signature
 
 ISO_TOL = 1e-10
@@ -116,26 +117,23 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
 
 
 def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
-    """Random word of 1 to 4 t/g/sigma generators with parameters at scale 0.6.
-
-    The generator matrices are multiplied as plain arrays, left to right from
-    the identity, and only the product is built as a checked
-    ``SymplecticElement``: exact group membership.
+    """Random word of 1 to 4 t/g/sigma generators with parameters at scale 0.6,
+    multiplied out by ``word_to_symplectic``: exact group membership.
     """
-    g = np.eye(2 * n)
+    word = []
     for _ in range(rng.integers(1, 5)):
         kind = rng.choice(["t", "g", "sigma"])
         if kind == "t":
             b = rng.normal(size=(n, n)) * 0.6
-            g = g @ _generator_matrix("t", 0.5 * (b + b.T))
+            word.append(("t", 0.5 * (b + b.T)))
         elif kind == "g":
             al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
             while abs(np.linalg.det(al)) < 0.3:
                 al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
-            g = g @ _generator_matrix("g", al)
+            word.append(("g", al))
         else:
-            g = g @ _generator_matrix("sigma", n=n)
-    return SymplecticElement(g)
+            word.append(("sigma", None))
+    return word_to_symplectic(word, n)
 
 
 def random_lagrangian(rng: np.random.Generator, n: int) -> Lagrangian:

@@ -109,6 +109,12 @@ def rand_gamma04(rng, max_entry=50):
 # --- suites -----------------------------------------------------------------
 
 
+def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
+    """One suite's report with its own ``extras``; five failures at most are kept."""
+    return {"suite": suite, "seed": seed, "count": count, "max_residual": float(worst),
+            "tol": tol, "passed": not failures, "failures": failures[:5], **extras}
+
+
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     """Lemma-style axioms for the triple/chain index, exact integer equality."""
     rng = np.random.default_rng(seed)
@@ -149,9 +155,7 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
                              "lagrangians": [serialize.encode_matrix(l.basis)
                                              for l in ls],
                              "g": serialize.encode_matrix(g.g)})
-    return {"suite": "maslov-axioms", "seed": seed, "count": count, "checks": checks,
-            "max_residual": float(worst), "tol": tol, "passed": not failures,
-            "failures": failures[:5]}
+    return _report("maslov-axioms", seed, count, worst, tol, failures, checks=checks)
 
 
 def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
@@ -179,9 +183,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
         worst = max(worst, d)
         if d > tol:
             failures.append({"case": i, "kind": "cocycle-condition", "defect": d})
-    return {"suite": "cocycles", "seed": seed, "count": count,
-            "max_residual": float(worst), "tol": tol, "passed": not failures,
-            "failures": failures[:5]}
+    return _report("cocycles", seed, count, worst, tol, failures)
 
 
 def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
@@ -204,9 +206,7 @@ def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
                                       else [k, None] for k, v in word],
                              "heisenberg": serialize.encode_heisenberg(h),
                              "point": serialize.encode_point(p)})
-    return {"suite": "covariance", "seed": seed, "count": count,
-            "max_residual": float(worst), "tol": tol, "passed": not failures,
-            "failures": failures[:5]}
+    return _report("covariance", seed, count, worst, tol, failures)
 
 
 def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
@@ -252,11 +252,9 @@ def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
     if worst_translate > 1e-12 or worst_invert > 1e-9:
         failures.append({"kind": "theta-law", "translate": worst_translate,
                          "invert": worst_invert})
-    return {"suite": "theta-laws", "seed": seed, "count": count,
-            "max_residual": float(worst), "tol": tol, "passed": not failures,
-            "details": {"translate": worst_translate, "invert": worst_invert,
-                        "multiplier": worst_mult},
-            "failures": failures[:5]}
+    return _report("theta-laws", seed, count, worst, tol, failures,
+                   details={"translate": worst_translate, "invert": worst_invert,
+                            "multiplier": worst_mult})
 
 
 def suite_casimir_invariance(seed: int, count: int, tol: float = 1e-4) -> dict:
@@ -292,10 +290,8 @@ def suite_casimir_invariance(seed: int, count: int, tol: float = 1e-4) -> dict:
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     if not (3.5 <= ratio <= 4.5):
         failures.append({"kind": "richardson", "ratio": ratio})
-    return {"suite": "casimir-invariance", "seed": seed, "count": count,
-            "max_residual": float(worst), "tol": tol, "passed": not failures,
-            "details": {"richardson_ratio": float(ratio)},
-            "failures": failures[:5]}
+    return _report("casimir-invariance", seed, count, worst, tol, failures,
+                   details={"richardson_ratio": float(ratio)})
 
 
 SUITES = {

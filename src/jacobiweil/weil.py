@@ -37,8 +37,8 @@ import numpy as np
 from .automorphy import J_star_M, MetaplecticElement, metaplectic_lifts
 from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement, IwasawaCoords, _generator_matrix, jacobi_act)
-from .linalg import holo_sqrt_det, principal_pow_half, real_sym
+                     IwasawaCoords, _letter, jacobi_act, word_to_symplectic)
+from .linalg import holo_sqrt_det, principal_pow_half
 from .states import (GaussianState, covariant_map, evaluate, index_matrix,
                      sample_grid)
 
@@ -73,7 +73,8 @@ def sw_heisenberg_apply(m_index, h: HeisenbergElement, f: GaussianState) -> Gaus
 def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
     """Apply one Weil generator operator at the SW normalization.
 
-    ``gen`` is ``("t", b)``, ``("g", alpha)`` or ``("sigma", None)``.
+    ``gen`` is ``("t", b)``, ``("g", alpha)`` or ``("sigma", None)``, checked
+    as in ``word_to_symplectic`` with n the width of f.
 
     * t(b): multiply by exp(2 pi i T_SCALE tr(M x b x^T)); A += 2 T_SCALE b.
     * g(alpha): (det alpha)^{m/2} f(x alpha^T); principal half-power branch.
@@ -86,38 +87,21 @@ def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
     mm = index_matrix(m_index)
     m, n = f.shape
     kind, par = gen
+    par = _letter(kind, par, n)
     if kind == "t":
-        b = real_sym(par)
-        return GaussianState(f.c, f.a + 2 * T_SCALE * b, f.b)
+        return GaussianState(f.c, f.a + 2 * T_SCALE * par, f.b)
     if kind == "g":
-        al = np.asarray(par, dtype=float)
-        det = np.linalg.det(al)
-        if abs(det) < 1e-12:
-            raise DomainError("alpha must be invertible")
+        al, det = par
         pref = principal_pow_half(det, m)
         return GaussianState(f.c * pref, al.T @ f.a @ al, f.b @ al)
-    if kind == "sigma":
-        if f.c == 0:
-            return f
-        a_inv = np.linalg.inv(f.a)
-        pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
-        root = holo_sqrt_det(-1j * np.kron(mm, f.a))
-        gauss = np.exp(-1j * np.pi * np.trace(mm @ f.b @ a_inv @ f.b.T))
-        c2 = f.c * pref / root * gauss
-        return GaussianState(c2, -a_inv, f.b @ a_inv)
-    raise DomainError(f"unknown generator kind {kind!r}")
-
-
-def word_to_symplectic(word, n: int) -> SymplecticElement:
-    """Product of the generators in a word, left to right.
-
-    The generator matrices are multiplied as plain arrays from the identity,
-    and only the product is built as a checked ``SymplecticElement``.
-    """
-    g = np.eye(2 * n)
-    for kind, par in word:
-        g = g @ _generator_matrix(kind, par, n)
-    return SymplecticElement(g)
+    if f.c == 0:
+        return f
+    a_inv = np.linalg.inv(f.a)
+    pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
+    root = holo_sqrt_det(-1j * np.kron(mm, f.a))
+    gauss = np.exp(-1j * np.pi * np.trace(mm @ f.b @ a_inv @ f.b.T))
+    c2 = f.c * pref / root * gauss
+    return GaussianState(c2, -a_inv, f.b @ a_inv)
 
 
 def weil_apply_word(m_index, word, f: GaussianState):
@@ -224,21 +208,18 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     """Sup over ``sample_grid`` of |omega(g~) F_{O,Z}(x) - J*(g~,(O,Z))^{-1} F_{g~.(O,Z)}(x)|.
 
     The element is (word product, h) with a metaplectic branch; ``"auto"``
-    selects the lift matching the word and reports it.
+    selects the lift matching the word and reports it.  The word product is
+    formed first, so a malformed letter raises before any operator runs.
 
     Returns (residual, eps_used).
     """
     mm = index_matrix(m_index)
     m, n = p.m, p.n
-    if h.shape != (m, n):
-        raise DomainError("dimension mismatch")
+    g = word_to_symplectic(word, n)
     f = covariant_map(mm, p)
     st = sw_heisenberg_apply(mm, h, f)
     if word:
         st, _ = weil_apply_word(mm, word, st)
-        g = word_to_symplectic(word, n)
-    else:
-        g = SymplecticElement(np.eye(2 * n))
     elt = JacobiElement(g, h)
     target = covariant_map(mm, jacobi_act(elt, p))
     grid = sample_grid(m, n)

@@ -137,6 +137,16 @@ def test_cli_usage_errors(tmp_path, capsys):
         # an integer literal beyond the largest float
         {"command": "casimir", "params": {"function": "constant", "k": 2, "m": 1,
                                           "h": 10 ** 400, "tau": [0.2, 1.1], "z": [0.1, 0.2]}},
+        # a malformed word letter is refused before any operator runs: alpha not
+        # square, and a b of the wrong size for an n = 2 point
+        {"command": "covariance",
+         "params": dict(VALID_PARAMS["covariance"], word=[["g", [[1.0, 2.0]]]])},
+        {"command": "covariance",
+         "params": dict(VALID_PARAMS["covariance"], word=[["t", [[0.4]]]],
+                        heisenberg={"lambda": [[0.1, 0.0]], "mu": [[0.2, 0.0]],
+                                    "kappa": [[0.0]]},
+                        point={"omega": [[[0.0, 1.0], 0.0], [0.0, [0.0, 1.0]]],
+                               "z": [[0.0, 0.0]]})},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))

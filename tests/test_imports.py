@@ -1,0 +1,55 @@
+"""Every name a library module imports is used in that module.
+
+A standard-library stand-in for a linter's unused-import rule: each module of
+the package is parsed with ``ast``, and a name bound by an import must occur
+elsewhere in the module as a name, as the base of an attribute, or inside a
+string annotation.  ``__init__.py`` is skipped: its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jacobiweil"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree) -> dict[str, int]:
+    """Each name an import binds, with its line; ``__future__`` imports bind none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation such as "SymplecticElement"
+            try:
+                used |= _used(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{module}: imported but never used: {unused}"
+
+
+def test_finds_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
+    assert set(_imported(tree)) - _used(tree) == {"math", "path"}

@@ -1,6 +1,6 @@
 """The shared domain checks: one positive-definiteness decision behind five
-entry points, one SL(2, R) membership check behind five more, and one reader
-of JSON reals."""
+entry points, one SL(2, R) membership check behind five more, one generator
+letter check behind five more, and one reader of JSON reals."""
 
 import math
 
@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from jacobiweil import (AsymmetryError, DomainError, GaussianState, IwasawaCoords,
-                        LatticePair, SiegelJacobiPoint, embed_sl2, heis_identity,
-                        holo_sqrt_det, index_matrix, iwasawa_sl2, sl2_act_circle)
+                        LatticePair, SiegelJacobiPoint, covariance_residual, embed_sl2,
+                        ground_state, heis_identity, holo_sqrt_det, index_matrix,
+                        iwasawa_sl2, sl2_act_circle, sp_generator, weil_apply_word,
+                        weil_generator_apply, word_to_symplectic)
 from jacobiweil.fock import FockState, fock_apply
 from jacobiweil.jacobi_theta import sl2_on_xi
 from jacobiweil.maslov import cocycle_sl2
@@ -65,14 +67,53 @@ SL2_ENTRY_POINTS = {
     (np.eye(3), "expected a 2x2 matrix"),
     (np.diag([2.0, 1.0]), "matrix must have determinant 1"),
     (np.ones(4), "expected a 2x2 matrix"),
+    # a NaN determinant compares false with any bound
+    (np.array([[math.nan, 0.0], [0.0, math.nan]]), "matrix must have determinant 1"),
 ])
 @pytest.mark.parametrize("entry", sorted(SL2_ENTRY_POINTS))
 def test_sl2_membership_checks(entry, mat, message):
-    with pytest.raises(DomainError) as info:
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as info:
         SL2_ENTRY_POINTS[entry](mat)
     assert type(info.value) is DomainError and str(info.value) == message
     # a determinant within 1e-10 of 1 is accepted
     SL2_ENTRY_POINTS[entry](np.diag([1.0 + 5e-11, 1.0]))
+
+
+# each entry point fed the one letter (kind, par) at n = 2
+LETTER_ENTRY_POINTS = {
+    "sp_generator": lambda kind, par: sp_generator(kind, par, n=2),
+    "word_to_symplectic": lambda kind, par: word_to_symplectic([(kind, par)], 2),
+    "weil_generator_apply": lambda kind, par: weil_generator_apply(
+        np.eye(1), (kind, par), ground_state(2)),
+    "weil_apply_word": lambda kind, par: weil_apply_word(
+        np.eye(1), [(kind, par)], ground_state(2)),
+    "covariance_residual": lambda kind, par: covariance_residual(
+        np.eye(1), [(kind, par)], heis_identity(1, 2),
+        SiegelJacobiPoint(1j * np.eye(2), np.zeros((1, 2)))),
+}
+BAD_LETTERS = {
+    "unknown kind": (("x", np.eye(2)), "unknown generator kind 'x'"),
+    "alpha not square": (("g", [[1.0, 2.0]]), "alpha must be square"),
+    "alpha singular": (("g", [[1.0, 2.0], [2.0, 4.0]]), "alpha must be invertible"),
+    "alpha wrong size": (("g", np.eye(3)),
+                         "generator parameter must be 2 x 2, got shape (3, 3)"),
+    "b wrong size": (("t", [[0.5]]), "generator parameter must be 2 x 2, got shape (1, 1)"),
+    "b asymmetric": (("t", [[0.0, 1.0], [0.0, 0.0]]),
+                     "asymmetry defect 1.000e+00 exceeds 1.0e-08"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LETTERS))
+@pytest.mark.parametrize("entry", sorted(LETTER_ENTRY_POINTS))
+def test_generator_letter_checks(entry, case):
+    (kind, par), message = BAD_LETTERS[case]
+    error = AsymmetryError if case == "b asymmetric" else DomainError
+    with pytest.raises(error) as info:
+        LETTER_ENTRY_POINTS[entry](kind, par)
+    assert type(info.value) is error and str(info.value) == message
+    # the same entry point accepts well-formed letters of each kind
+    for kind, par in (("t", 0.5 * np.eye(2)), ("g", 2.0 * np.eye(2)), ("sigma", None)):
+        LETTER_ENTRY_POINTS[entry](kind, par)
 
 
 def test_decode_real():
