@@ -43,17 +43,20 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 def _block(rows, n: int) -> np.ndarray:
-    """The block matrix of a square grid of n x n float blocks, ``None`` a zero block.
+    """The block matrix of a square grid of n x n float blocks, ``None`` a zero block;
+    for blocks that are stacks (..., n, n) of one leading shape, the stack of
+    block matrices.
 
     Filled by slices into one preallocated array: the entries, signed zeros
     included, equal those of numpy's ``block``, without its generic shape
     handling, which dominated the cost of these small matrices.
     """
-    out = np.zeros((len(rows) * n, len(rows) * n))
+    lead = next(blk for row in rows for blk in row if blk is not None).shape[:-2]
+    out = np.zeros(lead + (len(rows) * n, len(rows) * n))
     for r, row in enumerate(rows):
         for c, blk in enumerate(row):
             if blk is not None:
-                out[r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
+                out[..., r * n:(r + 1) * n, c * n:(c + 1) * n] = blk
     return out
 
 
@@ -120,8 +123,11 @@ def _letter(kind: str, parameter, n: int | None):
     """The checked parameter of a generator letter, for its matrix and its Weil
     operator alike: the symmetrized b of ``"t"`` (``real_sym``), ``(alpha, det
     alpha)`` for a square ``"g"`` with |det alpha| >= 1e-12, or None for
-    ``"sigma"``, which needs n.  With n given, b or alpha must be n x n."""
+    ``"sigma"``, which takes no parameter (None, JSON null) and needs n.  With
+    n given, b or alpha must be n x n."""
     if kind == "sigma":
+        if parameter is not None:
+            raise DomainError("sigma generator takes no parameter")
         if n is None:
             raise DomainError("sigma generator needs the dimension n")
         return None

@@ -17,24 +17,35 @@ SYM_DEFECT_TOL = 1e-8
 PD_TOL = 1e-12
 
 
-def _sym(a, dtype, defect_tol: float) -> np.ndarray:
-    """The symmetrized copy 0.5 (a + a^T) of a square matrix.
-
-    Raises AsymmetryError when the defect max|a - a^T| exceeds ``defect_tol``
-    times the scale max(1, max|a|).  A NaN defect compares false and passes.
-    Defect and scale are one ndarray reduction each; a 0 x 0 matrix has no
-    entries to reduce, and its copy is returned.
-    """
+def _square(a, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype``; DomainError unless it is one square matrix."""
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
+    """The symmetrized copy 0.5 (a + a^T) of each matrix of a stack (..., k, k).
+
+    Raises AsymmetryError, naming the first offending matrix's defect, when a
+    defect max|a - a^T| exceeds ``defect_tol`` times that matrix's scale
+    max(1, max|a|).  A NaN defect compares false and passes.  Each threshold
+    is at least ``defect_tol``, so when the largest defect of the whole stack
+    is at most that, one reduction decides, and the per-matrix defects and
+    scales are only reduced otherwise (a NaN included).  Matrices of size
+    0 x 0 have no entries to reduce, and their copy is returned.
+    """
     if a.size == 0:
         return a.copy()
-    defect = abs(a - a.T).max()
-    scale = max(1.0, abs(a).max())
-    if defect > defect_tol * scale:
-        raise AsymmetryError(f"asymmetry defect {defect:.3e} exceeds {defect_tol:.1e}")
-    return 0.5 * (a + a.T)
+    t = a.swapaxes(-1, -2)
+    d = abs(a - t)
+    if not d.max() <= defect_tol:
+        defect = d.max(axis=(-2, -1))
+        over = defect > defect_tol * np.maximum(1.0, abs(a).max(axis=(-2, -1)))
+        if over.any():
+            raise AsymmetryError(f"asymmetry defect {defect[over][0]:.3e} exceeds {defect_tol:.1e}")
+    return 0.5 * (a + t)
 
 
 def real_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
@@ -44,12 +55,12 @@ def real_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
     ``defect_tol`` (relative to the matrix scale) indicates a caller bug
     and raises instead of being silently absorbed.
     """
-    return _sym(a, float, defect_tol)
+    return _sym(_square(a, float), defect_tol)
 
 
 def complex_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
     """Symmetrize a complex square matrix (same defect policy as real_sym)."""
-    return _sym(a, complex, defect_tol)
+    return _sym(_square(a, complex), defect_tol)
 
 
 @dataclass(frozen=True)
@@ -68,10 +79,10 @@ class Signature:
         return iter((self.positives, self.negatives, self.zeros))
 
 
-def _eigvalsh(a: np.ndarray) -> list[float]:
-    """Eigenvalues of a symmetric matrix, ascending, as Python floats."""
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack, ascending."""
     try:
-        return np.linalg.eigvalsh(a).tolist()
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigenSolverError(f"eigvalsh did not converge: {exc}", a) from exc
 
@@ -82,21 +93,32 @@ def _has_nan(w: list[float]) -> bool:
     return any(v != v for v in w)
 
 
-def signature(q) -> Signature:
-    """Signature of a real symmetric matrix (symmetrized on entry).
+def _inertia(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and negative eigenvalue counts of each matrix of a real
+    stack (..., k, k), symmetrized on entry by ``_sym``.
 
     An eigenvalue counts as zero when its absolute value is at most 1e-9
-    times max(1, largest absolute eigenvalue); the forms this package feeds
-    in are exactly rank-deficient, so a relative threshold keeps the integer
-    output stable.  The eigenvalues come sorted from ``eigvalsh``, so the
-    largest absolute one is at an end of the list, and the counts are taken
-    in scalar code.  A NaN eigenvalue leaves the scale at 1.
+    times max(1, largest absolute eigenvalue of its matrix); the forms this
+    package feeds in are exactly rank-deficient, so a relative threshold
+    keeps the integer output stable.  The eigenvalues come sorted from
+    ``eigvalsh``, so the largest absolute one is at an end of each row.  A
+    NaN eigenvalue does not sort and leaves its matrix's scale at 1.  One
+    ``eigvalsh`` call serves the whole stack.
     """
-    q = real_sym(q)
-    w = _eigvalsh(q)
-    zero_tol = 1e-9 * (1.0 if not w or _has_nan(w) else max(1.0, -w[0], w[-1]))
-    pos = sum(v > zero_tol for v in w)
-    neg = sum(v < -zero_tol for v in w)
+    w = _eigvalsh(_sym(q, SYM_DEFECT_TOL))
+    if w.shape[-1] == 0:
+        zero = np.zeros(w.shape[:-1], dtype=int)
+        return zero, zero
+    scale = np.maximum(1.0, np.maximum(-w[..., 0], w[..., -1]))
+    zero_tol = 1e-9 * np.where(np.isnan(w).any(axis=-1), 1.0, scale)[..., None]
+    return (w > zero_tol).sum(axis=-1), (w < -zero_tol).sum(axis=-1)
+
+
+def signature(q) -> Signature:
+    """Signature of a real symmetric matrix (symmetrized on entry): the
+    one-matrix case of ``_inertia``, which states the symmetry and zero rules."""
+    q = _square(q, float)
+    pos, neg = (int(c) for c in _inertia(q))
     return Signature(pos, neg, q.shape[0] - pos - neg)
 
 
@@ -106,7 +128,7 @@ def _min_eigenvalue(y: np.ndarray) -> float:
     ``y`` must already be symmetric (the output of ``real_sym``).  A 0 x 0
     matrix raises the ValueError that ``np.min`` raises on an empty array.
     """
-    w = _eigvalsh(y)
+    w = _eigvalsh(y).tolist()
     if not w:
         raise ValueError("zero-size array to reduction operation minimum which has no identity")
     return math.nan if _has_nan(w) else w[0]

@@ -16,19 +16,29 @@ import numpy as np
 from .errors import DomainError, InvariantViolation
 from .groups import (SymplecticElement, _block, _sl2_entries, symplectic_form,
                      word_to_symplectic)
-from .linalg import signature
+from .linalg import _inertia
 
 ISO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Lagrangian:
+    """A checked Lagrangian: a finite, full-rank, isotropic 2N x N basis, N >= 1.
+
+    The checks run once, here, on every Lagrangian that is kept.  The Maslov
+    functions below form images g L as plain basis arrays and build no
+    ``Lagrangian`` for them.
+    """
+
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != 2 * b.shape[1]:
-            raise DomainError(f"basis must be 2N x N, got {b.shape}")
+        if b.ndim != 2 or b.shape[0] != 2 * b.shape[1] or not b.size:
+            raise DomainError(f"basis must be 2N x N with N >= 1, got {b.shape}")
+        if not np.abs(b).max() < math.inf:
+            # a NaN entry makes the maximum NaN, which the checks below would pass
+            raise DomainError("Lagrangian basis must have finite entries")
         nn = b.shape[1]
         sv = np.linalg.svd(b, compute_uv=False)
         if sv[-1] <= 1e-9 * sv[0]:
@@ -44,12 +54,17 @@ class Lagrangian:
         return self.basis.shape[1]
 
     def transformed(self, g: SymplecticElement) -> "Lagrangian":
+        """The image g L, checked like every ``Lagrangian``."""
         return Lagrangian(g.g @ self.basis)
+
+
+def _coordinate_basis(n: int) -> np.ndarray:
+    return np.vstack([np.eye(n), np.zeros((n, n))])
 
 
 def coordinate_lagrangian(n: int) -> Lagrangian:
     """Span of the first coordinate block: the lambda-axis {(x, 0)}."""
-    return Lagrangian(np.vstack([np.eye(n), np.zeros((n, n))]))
+    return Lagrangian(_coordinate_basis(n))
 
 
 def momentum_lagrangian(n: int) -> Lagrangian:
@@ -67,35 +82,73 @@ def intersection_dim(l1: Lagrangian, l2: Lagrangian) -> int:
     return 2 * l1.half_dim - rank
 
 
-def maslov3(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
-    """Triple Maslov index: signature of Q(x1+x2+x3) = B(x1,x2)+B(x2,x3)+B(x3,x1).
+def _maslov_stack(x1, x2, x3) -> np.ndarray:
+    """Triple Maslov indices of k triples in one numpy pass.
 
-    The form is assembled on the 3N-dimensional direct sum of the basis
-    coordinate spaces without quotienting out the radical; the signature is
-    insensitive to it.
+    ``x1``, ``x2`` and ``x3`` are stacks of k 2N x N bases of one N, each of
+    shape (k, 2N, N).  Index i is the signature
+    of Q(x1+x2+x3) = B(x1,x2)+B(x2,x3)+B(x3,x1) on triple i, assembled on the
+    3N-dimensional direct sum of the basis coordinate spaces without
+    quotienting out the radical; the signature is insensitive to it.  The
+    three cross Grams are stacked matmuls and each Gram is 0.5 times the
+    block matrix [[0, G12, G31^T], [G12^T, 0, G23], [G31, G23^T, 0]], filled
+    by slices (``_block``); ``_inertia`` then makes one ``eigvalsh`` call for all k.
+    Returns the k net indices as an integer array.
     """
-    nn = l1.half_dim
-    if not (l2.half_dim == nn and l3.half_dim == nn):
-        raise DomainError("dimension mismatch")
+    nn = x2.shape[-1]
     j = symplectic_form(nn)
-    g12 = l1.basis.T @ j @ l2.basis
-    g23 = l2.basis.T @ j @ l3.basis
-    g31 = l3.basis.T @ j @ l1.basis
-    gram = 0.5 * _block([[None, g12, g31.T], [g12.T, None, g23], [g31, g23.T, None]], nn)
-    return signature(gram).net
+    g12 = x1.swapaxes(-1, -2) @ j @ x2
+    g23 = x2.swapaxes(-1, -2) @ j @ x3
+    g31 = x3.swapaxes(-1, -2) @ j @ x1
+    g21, g32, g13 = (g.swapaxes(-1, -2) for g in (g12, g23, g31))
+    gram = _block([[None, g12, g13], [g21, None, g23], [g31, g32, None]], nn)
+    pos, neg = _inertia(0.5 * gram)
+    return pos - neg
+
+
+def _bases(ls) -> np.ndarray:
+    """The bases of Lagrangians of one dimension, as one (k, 2N, N) stack."""
+    if len({l.half_dim for l in ls}) > 1:
+        raise DomainError("dimension mismatch")
+    return np.stack([l.basis for l in ls])
+
+
+def maslov3(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
+    """Triple Maslov index tau(l1, l2, l3): the one-triple case of ``_maslov_stack``."""
+    x = _bases((l1, l2, l3))
+    return int(_maslov_stack(x[0:1], x[1:2], x[2:3])[0])
+
+
+def _chain_triples(xs) -> list:
+    """The k - 2 triples (x1, x_j, x_{j+1}), j = 2..k-1, of the chain x1..xk,
+    whose indices sum to the chain index."""
+    return [(xs[0], xs[j], xs[j + 1]) for j in range(1, len(xs) - 1)]
 
 
 def maslov_chain(ls) -> int:
-    """Telescoped index tau(l1,...,lk) = sum_j tau(l1, l_j, l_{j+1}), k >= 3."""
+    """Telescoped index tau(l1,...,lk) = sum_j tau(l1, l_j, l_{j+1}), k >= 3,
+    with its k - 2 triples (``_chain_triples``) in one ``_maslov_stack`` call."""
     ls = list(ls)
     if len(ls) < 3:
         raise DomainError("chain needs at least three Lagrangians")
-    return sum(maslov3(ls[0], ls[j], ls[j + 1]) for j in range(1, len(ls) - 1))
+    x1, x2, x3 = (np.array(xs) for xs in zip(*_chain_triples(_bases(ls))))
+    return int(_maslov_stack(x1, x2, x3).sum())
+
+
+def _tau_bases(basis: np.ndarray, g1: SymplecticElement, g2: SymplecticElement):
+    """The triple (L, g1 L, g1 g2 L) of tau_L(g1, g2) as plain basis arrays."""
+    return basis, g1.g @ basis, (g1.g @ g2.g) @ basis
 
 
 def tau_ell(l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> int:
-    """tau_l(g1, g2) = tau(l, g1 l, g1 g2 l)."""
-    return maslov3(l, l.transformed(g1), l.transformed(g1 @ g2))
+    """tau_l(g1, g2) = tau(l, g1 l, g1 g2 l).
+
+    The images are plain bases (``_tau_bases``), not checked ``Lagrangian``s:
+    the image of a checked Lagrangian under a checked symplectic element is
+    Lagrangian up to rounding.
+    """
+    x1, x2, x3 = (x[None] for x in _tau_bases(l.basis, g1, g2))
+    return int(_maslov_stack(x1, x2, x3)[0])
 
 
 def cocycle_clm(m: float, l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> complex:
@@ -122,7 +175,7 @@ def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
     """
     word = []
     for _ in range(rng.integers(1, 5)):
-        kind = rng.choice(["t", "g", "sigma"])
+        kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
             b = rng.normal(size=(n, n)) * 0.6
             word.append(("t", 0.5 * (b + b.T)))
@@ -137,5 +190,9 @@ def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
 
 
 def random_lagrangian(rng: np.random.Generator, n: int) -> Lagrangian:
-    """Random symplectic image of the coordinate Lagrangian (isotropy exact)."""
-    return coordinate_lagrangian(n).transformed(random_symplectic(rng, n))
+    """Random symplectic image of the coordinate Lagrangian (isotropy exact).
+
+    The plain coordinate basis is transformed, so the returned Lagrangian is
+    the only one built and checked.
+    """
+    return Lagrangian(random_symplectic(rng, n).g @ _coordinate_basis(n))

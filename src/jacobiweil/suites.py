@@ -19,9 +19,9 @@ from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement)
 from .maass import casimir_km, sample_function
-from .maslov import (cocycle_clm, cocycle_sl2, coordinate_lagrangian, maslov3,
-                     maslov_chain, random_lagrangian, random_symplectic,
-                     tau_ell)
+from .maslov import (_chain_triples, _coordinate_basis, _maslov_stack, _tau_bases,
+                     cocycle_clm, cocycle_sl2, coordinate_lagrangian,
+                     random_lagrangian, random_symplectic)
 from .theta import siegel_theta, theta_M, theta_weight_quarter
 from .weil import covariance_residual
 from .automorphy import slash_km_nh
@@ -38,7 +38,7 @@ def rand_sym(rng, n, scale=0.5):
 def rand_word(rng, n, max_len=6, scale=0.45, allow_neg_g=True):
     word = []
     for _ in range(rng.integers(1, max_len + 1)):
-        kind = rng.choice(["t", "g", "sigma"])
+        kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
             word.append(("t", rand_sym(rng, n, scale)))
         elif kind == "g":
@@ -115,38 +115,68 @@ def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
             "tol": tol, "passed": not failures, "failures": failures[:5], **extras}
 
 
+def _axiom_terms(ls, chain, aux, g, g1, g2, g3):
+    """The triples that the axiom checks of one case need, and each check as
+    signed positions in that list: its defect is the signed sum of their
+    indices.  Images under g are plain bases, as in ``tau_ell``."""
+    triples = []
+
+    def tau(*xs):
+        triples.append(xs)
+        return len(triples) - 1
+
+    def chain_tau(xs):
+        return [tau(*t) for t in _chain_triples(xs)]
+
+    l1, l2, l3, l4 = (l.basis for l in ls[:4])
+    chain = [l.basis for l in chain]
+    a = aux.basis
+    o = _coordinate_basis(l1.shape[1])
+    t123 = tau(l1, l2, l3)
+    c1234 = chain_tau([l1, l2, l3, l4])
+    terms = {
+        "g_invariance": [(1, tau(*(g.g @ x for x in (l1, l2, l3)))), (-1, t123)],
+        "antisym_12": [(1, tau(l2, l1, l3)), (1, t123)],
+        "antisym_23": [(1, tau(l1, l3, l2)), (1, t123)],
+        "cocycle4": [(1, t123), (-1, tau(l1, l2, l4)), (-1, tau(l2, l3, l4)),
+                     (-1, tau(l3, l1, l4))],
+        "chain_circular": ([(1, t) for t in c1234]
+                           + [(-1, t) for t in chain_tau([l2, l3, l4, l1])]),
+        "chain_reverse_pair": ([(1, t) for t in c1234]
+                               + [(1, t) for t in chain_tau([l2, l1, l4, l3])]),
+        # (d): chain decomposition against an auxiliary Lagrangian
+        "chain_aux": ([(1, t) for t in chain_tau(chain)]
+                      + [(-1, tau(chain[j], chain[j + 1], a)) for j in range(len(chain) - 1)]
+                      + [(-1, tau(chain[-1], chain[0], a))]),
+        # (g): additive cocycle identity for tau_l
+        "tau_cocycle": [(1, tau(*_tau_bases(o, g1 @ g2, g3))),
+                        (1, tau(*_tau_bases(o, g1, g2))),
+                        (-1, tau(*_tau_bases(o, g1, g2 @ g3))),
+                        (-1, tau(*_tau_bases(o, g2, g3)))],
+    }
+    return triples, terms
+
+
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
-    """Lemma-style axioms for the triple/chain index, exact integer equality."""
+    """Lemma-style axioms for the triple/chain index, exact integer equality.
+
+    A case draws its Lagrangians and group elements first; then the indices
+    of every triple its checks need come from one ``_maslov_stack`` call.
+    """
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0
     checks = 0
     for i in range(count):
-        n = int(rng.choice([1, 2, 3]))
+        n = (1, 2, 3)[rng.integers(3)]
         ls = [random_lagrangian(rng, n) for _ in range(6)]
         g = random_symplectic(rng, n)
-        l1, l2, l3, l4 = ls[:4]
-        t123 = maslov3(l1, l2, l3)
-        defects = {
-            "g_invariance": maslov3(l1.transformed(g), l2.transformed(g), l3.transformed(g)) - t123,
-            "antisym_12": maslov3(l2, l1, l3) + t123,
-            "antisym_23": maslov3(l1, l3, l2) + t123,
-            "cocycle4": t123 - maslov3(l1, l2, l4) - maslov3(l2, l3, l4) - maslov3(l3, l1, l4),
-            "chain_circular": maslov_chain([l1, l2, l3, l4]) - maslov_chain([l2, l3, l4, l1]),
-            "chain_reverse_pair": maslov_chain([l1, l2, l3, l4]) + maslov_chain([l2, l1, l4, l3]),
-        }
-        # (d): chain decomposition against an auxiliary Lagrangian, d up to 6
-        d = int(rng.integers(3, 7))
-        chain = ls[:d]
+        d = int(rng.integers(3, 7))  # chain length, up to 6
         aux = ls[-1] if d < 6 else random_lagrangian(rng, n)
-        rhs = sum(maslov3(chain[j], chain[j + 1], aux) for j in range(d - 1))
-        rhs += maslov3(chain[-1], chain[0], aux)
-        defects["chain_aux"] = maslov_chain(chain) - rhs
-        # (g): additive cocycle identity for tau_l
         g1, g2, g3 = (random_symplectic(rng, n) for _ in range(3))
-        l = coordinate_lagrangian(n)
-        defects["tau_cocycle"] = (tau_ell(l, g1 @ g2, g3) + tau_ell(l, g1, g2)
-                                  - tau_ell(l, g1, g2 @ g3) - tau_ell(l, g2, g3))
+        triples, terms = _axiom_terms(ls, ls[:d], aux, g, g1, g2, g3)
+        index = _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
+        defects = {k: sum(sign * index[t] for sign, t in ts) for k, ts in terms.items()}
         checks += len(defects)
         bad = {k: v for k, v in defects.items() if v != 0}
         worst = max(worst, max((abs(v) for v in defects.values()), default=0))
@@ -192,7 +222,7 @@ def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
     failures = []
     worst = 0.0
     for i in range(count):
-        n = int(rng.choice([1, 2]))
+        n = (1, 2)[rng.integers(2)]
         m = 1
         mm = rand_index(rng, m)
         word = rand_word(rng, n)
@@ -218,7 +248,7 @@ def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
     worst_mult = 0.0
     # translation invariance Omega -> Omega + 2b, integral symmetric b
     for i in range(max(3, count // 4)):
-        n = int(rng.choice([1, 2]))
+        n = (1, 2)[rng.integers(2)]
         p = rand_point(rng, n, 1)
         b = rng.integers(-2, 3, size=(n, n))
         b = b + b.T

@@ -147,6 +147,9 @@ def test_cli_usage_errors(tmp_path, capsys):
                                     "kappa": [[0.0]]},
                         point={"omega": [[[0.0, 1.0], 0.0], [0.0, [0.0, 1.0]]],
                                "z": [[0.0, 0.0]]})},
+        # a sigma letter takes no parameter
+        {"command": "covariance",
+         "params": dict(VALID_PARAMS["covariance"], word=[["sigma", [[7.0, 3.0]]]])},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))

@@ -1,9 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a module imports is used in that module.
 
 A standard-library stand-in for a linter's unused-import rule: each module of
-the package is parsed with ``ast``, and a name bound by an import must occur
-elsewhere in the module as a name, as the base of an attribute, or inside a
-string annotation.  ``__init__.py`` is skipped: its imports are re-exports.
+the package, of the tests and of the benchmark is parsed with ``ast`` (the
+files are only read), and a name bound by an import must occur elsewhere in
+the module as a name, as the base of an attribute, or inside a string
+annotation.  ``__init__.py`` files are skipped: their imports are re-exports.
 """
 
 import ast
@@ -11,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jacobiweil"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "jacobiweil"
+# package modules by bare name, tests and benchmark files by path from the root
+MODULES = {p.name if p.parent == PACKAGE else str(p.relative_to(ROOT)): p
+           for pattern in ("src/jacobiweil/*.py", "tests/*.py", "perfbench/**/*.py")
+           for p in ROOT.glob(pattern) if p.name != "__init__.py"}
 
 
 def _imported(tree) -> dict[str, int]:
@@ -42,9 +47,9 @@ def _used(tree) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    tree = ast.parse(MODULES[module].read_text(), filename=module)
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{module}: imported but never used: {unused}"

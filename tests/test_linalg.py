@@ -9,7 +9,7 @@ from jacobiweil import (AsymmetryError, DomainError, EigenSolverError,
                         Signature, complex_sym, holo_sqrt_det,
                         is_positive_definite, principal_pow_half, real_sym,
                         signature)
-from jacobiweil.linalg import SYM_DEFECT_TOL
+from jacobiweil.linalg import SYM_DEFECT_TOL, _inertia
 
 
 def test_signature_identity():
@@ -197,6 +197,8 @@ def _same(new, ref):
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    elif isinstance(want, list):
+        assert [type(v) for v in got] == [type(v) for v in want] and got == want
     else:
         assert type(got) is type(want) and got == want
 
@@ -241,6 +243,23 @@ def test_validators_match_first_versions(a, b):
         _same(_outcome(complex_sym, z), _outcome(_ref_sym, z, complex, SYM_DEFECT_TOL))
     _same(_outcome(signature, a), _outcome(_ref_signature, a))
     _same(_outcome(is_positive_definite, a), _outcome(_ref_is_positive_definite, a))
+    stack = [a, b, a.T] if a.shape == b.shape else [a]
+    _same(_outcome(_stacked_signatures, stack), _outcome(_ref_signatures, stack))
+
+
+def _stacked_signatures(stack):
+    """The signatures of a stack from one ``_inertia`` call, as Signature objects."""
+    pos, neg = _inertia(np.array(stack))
+    k = stack[0].shape[0]
+    return [Signature(p, q, k - p - q) for p, q in zip(pos.tolist(), neg.tolist())]
+
+
+def _ref_signatures(stack):
+    """``_ref_signature`` matrix by matrix; the symmetry rule runs on every
+    matrix before any eigenvalues are computed, as in one stacked call."""
+    for a in stack:
+        _ref_sym(a, float, SYM_DEFECT_TOL)
+    return [_ref_signature(a) for a in stack]
 
 
 def test_validators_edge_cases():
@@ -254,6 +273,11 @@ def test_validators_edge_cases():
         assert not is_positive_definite(np.diag([1.0, 2.0, math.inf]))
     with pytest.raises(DomainError):
         real_sym(np.zeros((2, 3)))
+    # each matrix of a stack has its own zero threshold and its own defect
+    pos, neg = _inertia(np.array([np.diag([1e-3, -1.0]), np.diag([1e7, 1.0])]))
+    assert pos.tolist() == [1, 2] and neg.tolist() == [1, 0]
+    with pytest.raises(AsymmetryError, match="asymmetry defect 1.000e-06 exceeds"):
+        _inertia(np.array([[[1e3, 0.0], [0.0, 1.0]], [[1.0, 1e-6], [0.0, 1.0]]]))
     tol = SYM_DEFECT_TOL
     real_sym(np.array([[0.0, 0.5 * tol], [0.0, 0.0]]))
     with pytest.raises(AsymmetryError):

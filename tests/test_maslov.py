@@ -8,10 +8,11 @@ from jacobiweil import (DomainError, Lagrangian, SymplecticElement,
                         cocycle_clm, cocycle_sl2, coordinate_lagrangian,
                         intersection_dim, maslov3, maslov_chain,
                         momentum_lagrangian, random_lagrangian,
-                        random_symplectic, sp_generator, sp_identity, tau_ell)
+                        random_symplectic, signature, sp_generator, sp_identity,
+                        tau_ell)
 import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
-from jacobiweil.suites import rand_sl2, suite_maslov_axioms
+from jacobiweil.suites import rand_sl2, rand_sym, rand_word, suite_maslov_axioms
 
 
 def span(*cols):
@@ -144,26 +145,63 @@ def test_cocycle_condition(rng):
         assert abs(lhs - rhs) < 1e-12
 
 
+def _ref_gram(x1, x2, x3):
+    """The Gram matrix of one triple as first written: per-triple products and np.block."""
+    n = x1.shape[1]
+    z, i = np.zeros((n, n)), np.eye(n)
+    j = np.block([[z, i], [-i, z]])
+    g12, g23, g31 = x1.T @ j @ x2, x2.T @ j @ x3, x3.T @ j @ x1
+    return 0.5 * np.block([[z, g12, g31.T], [g12.T, z, g23], [g31, g23.T, z]])
+
+
 def test_maslov3_gram_matches_np_block(rng, monkeypatch):
     grams = []
-    real_signature = maslov_mod.signature
+    real_inertia = maslov_mod._inertia
 
     def capture(gram):
         grams.append(gram)
-        return real_signature(gram)
+        return real_inertia(gram)
 
-    monkeypatch.setattr(maslov_mod, "signature", capture)
+    monkeypatch.setattr(maslov_mod, "_inertia", capture)
     for n in range(1, 5):
-        for _ in range(5):
-            ls = [random_lagrangian(rng, n) for _ in range(3)]
-            x1, x2, x3 = (l.basis for l in ls)
-            z, i = np.zeros((n, n)), np.eye(n)
-            j = np.block([[z, i], [-i, z]])
-            g12, g23, g31 = x1.T @ j @ x2, x2.T @ j @ x3, x3.T @ j @ x1
-            ref = 0.5 * np.block([[z, g12, g31.T], [g12.T, z, g23], [g31, g23.T, z]])
-            index = maslov3(*ls)
-            assert grams[-1].tobytes() == ref.tobytes() and grams[-1].shape == ref.shape
-            assert index == real_signature(ref).net
+        triples = [[random_lagrangian(rng, n) for _ in range(3)] for _ in range(5)]
+        x1, x2, x3 = (np.array([t[k].basis for t in triples]) for k in range(3))
+        indices = maslov_mod._maslov_stack(x1, x2, x3)
+        stack = grams[-1]
+        assert stack.shape == (5, 3 * n, 3 * n)
+        for t, ls in enumerate(triples):
+            ref = _ref_gram(*(l.basis for l in ls))
+            assert stack[t].tobytes() == ref.tobytes()
+            assert indices[t] == signature(ref).net
+            assert maslov3(*ls) == signature(ref).net
+            assert grams[-1][0].tobytes() == ref.tobytes()
+
+
+def _degenerate_triples(rng, n):
+    """Random triples, triples with repeated Lagrangians, and triples of L with g L."""
+    ls = [random_lagrangian(rng, n) for _ in range(3)]
+    g = random_symplectic(rng, n)
+    gl = [g.g @ l.basis for l in ls]
+    x = [l.basis for l in ls]
+    coord, mom = coordinate_lagrangian(n).basis, momentum_lagrangian(n).basis
+    return [tuple(x), (x[0], x[0], x[1]), (x[0], x[1], x[0]), (x[1], x[0], x[0]),
+            (x[2], x[2], x[2]), (x[0], gl[0], x[1]), (x[1], gl[1], gl[0]),
+            (coord, mom, coord), (coord, mom, x[2]), (coord, g.g @ coord, g.g @ g.g @ coord)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maslov_stack_matches_per_triple_signature(rng, n):
+    for _ in range(10):
+        triples = _degenerate_triples(rng, n)
+        x1, x2, x3 = (np.array(xs) for xs in zip(*triples))
+        indices = maslov_mod._maslov_stack(x1, x2, x3)
+        assert indices.shape == (len(triples),)
+        assert indices.tolist() == [signature(_ref_gram(*t)).net for t in triples]
+        # a chain's k - 2 triples in one call give the per-triple sum
+        ls = [Lagrangian(x) for x in (x1[0], x2[0], x3[0], x3[5], x2[9], x3[9])]
+        expected = sum(signature(_ref_gram(ls[0].basis, ls[j].basis, ls[j + 1].basis)).net
+                       for j in range(1, len(ls) - 1))
+        assert maslov_chain(ls) == expected
 
 
 def _random_symplectic_per_letter(rng, n, letters=4, scale=0.6):
@@ -196,4 +234,38 @@ def test_random_symplectic_matches_per_letter_product(n):
         assert isinstance(g, SymplecticElement)
         assert g.g.shape == expected.g.shape
         assert g.g.tobytes() == expected.g.tobytes()
+        assert fast.random() == ref.random()
+
+
+def _rand_word_with_choice(rng, n, max_len=6, scale=0.45, allow_neg_g=True):
+    """``suites.rand_word`` as it was written with ``rng.choice`` over a list."""
+    word = []
+    for _ in range(rng.integers(1, max_len + 1)):
+        kind = rng.choice(["t", "g", "sigma"])
+        if kind == "t":
+            word.append(("t", rand_sym(rng, n, scale)))
+        elif kind == "g":
+            al = np.eye(n) + scale * rng.normal(size=(n, n))
+            while not (0.4 < abs(np.linalg.det(al)) < 2.5):
+                al = np.eye(n) + scale * rng.normal(size=(n, n))
+            if allow_neg_g and rng.random() < 0.25:
+                al = -al
+            word.append(("g", al))
+        else:
+            word.append(("sigma", None))
+    return word
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rand_word_matches_choice_draws(n):
+    # the same words bit for bit, and the same draws from the generator
+    for seed in range(50):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        word, expected = rand_word(fast, n), _rand_word_with_choice(ref, n)
+        assert [kind for kind, _ in word] == [kind for kind, _ in expected]
+        for (kind, par), (_, want) in zip(word, expected):
+            if want is None:
+                assert par is None
+            else:
+                assert par.shape == want.shape and par.tobytes() == want.tobytes()
         assert fast.random() == ref.random()

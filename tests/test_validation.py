@@ -1,6 +1,7 @@
 """The shared domain checks: one positive-definiteness decision behind five
 entry points, one SL(2, R) membership check behind five more, one generator
-letter check behind five more, and one reader of JSON reals."""
+letter check behind five more, one reader of JSON reals, and the finite-entry
+check of a Lagrangian."""
 
 import math
 
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from jacobiweil import (AsymmetryError, DomainError, GaussianState, IwasawaCoords,
-                        LatticePair, SiegelJacobiPoint, covariance_residual, embed_sl2,
-                        ground_state, heis_identity, holo_sqrt_det, index_matrix,
-                        iwasawa_sl2, sl2_act_circle, sp_generator, weil_apply_word,
-                        weil_generator_apply, word_to_symplectic)
+                        Lagrangian, LatticePair, SiegelJacobiPoint, covariance_residual,
+                        embed_sl2, ground_state, heis_identity, holo_sqrt_det,
+                        index_matrix, iwasawa_sl2, sl2_act_circle, sp_generator,
+                        weil_apply_word, weil_generator_apply, word_to_symplectic)
 from jacobiweil.fock import FockState, fock_apply
 from jacobiweil.jacobi_theta import sl2_on_xi
 from jacobiweil.maslov import cocycle_sl2
@@ -100,6 +101,8 @@ BAD_LETTERS = {
     "b wrong size": (("t", [[0.5]]), "generator parameter must be 2 x 2, got shape (1, 1)"),
     "b asymmetric": (("t", [[0.0, 1.0], [0.0, 0.0]]),
                      "asymmetry defect 1.000e+00 exceeds 1.0e-08"),
+    "sigma with a parameter": (("sigma", [[5.0, 1.0], [1.0, 5.0]]),
+                               "sigma generator takes no parameter"),
 }
 
 
@@ -114,6 +117,13 @@ def test_generator_letter_checks(entry, case):
     # the same entry point accepts well-formed letters of each kind
     for kind, par in (("t", 0.5 * np.eye(2)), ("g", 2.0 * np.eye(2)), ("sigma", None)):
         LETTER_ENTRY_POINTS[entry](kind, par)
+
+
+@pytest.mark.parametrize("basis", [[[math.inf], [0.0]], [[math.nan], [0.0]]])
+def test_lagrangian_refuses_non_finite_entries(basis):
+    with pytest.raises(DomainError) as info:
+        Lagrangian(basis)
+    assert str(info.value) == "Lagrangian basis must have finite entries"
 
 
 def test_decode_real():
