@@ -16,6 +16,7 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,9 +61,41 @@ def _block(rows, n: int) -> np.ndarray:
     return out
 
 
+def _require_symplectic(g: np.ndarray) -> None:
+    """Check one 2n x 2n matrix, or each matrix of a stack (k, 2n, 2n),
+    with scale = max(1, max|g|) per matrix: finite entries, g^T J g = J within
+    SP_TOL * scale^2, and det g = 1 within 1e-8 * scale^(2n).
+
+    Raises the error of the first matrix that fails, for the first check it
+    fails.  Each threshold is at least its bare tolerance, so when a stack
+    is finite and its largest defects are within those, one stacked
+    reduction per check decides.  One matrix, and a stack that this does not
+    decide, are checked one matrix at a time, in order.
+    """
+    n = g.shape[-1] // 2
+    j = symplectic_form(n)
+    if g.ndim == 3 and abs(g).max() < math.inf:
+        form = abs(g.swapaxes(1, 2) @ j @ g - j).max()
+        if form <= SP_TOL and abs(np.linalg.det(g) - 1.0).max() <= 1e-8:
+            return
+    for x in (g,) if g.ndim == 2 else g:
+        top = abs(x).max()
+        if not top < math.inf:
+            # a NaN entry makes top NaN; every comparison with NaN is false,
+            # so the checks below would pass it
+            raise DomainError("symplectic matrix must have finite entries")
+        # max(1, x)**k equals max(1, x**k), so one scale serves both thresholds
+        scale = max(1.0, top)
+        if abs(x.T @ j @ x - j).max() > SP_TOL * scale ** 2:
+            raise InvariantViolation("matrix is not symplectic within tolerance")
+        if abs(np.linalg.det(x) - 1.0) > 1e-8 * scale ** (2 * n):
+            raise InvariantViolation("symplectic matrix must have determinant 1")
+
+
 @dataclass(frozen=True)
 class SymplecticElement:
-    """A real 2n x 2n symplectic matrix; block views are computed, not stored."""
+    """A real 2n x 2n symplectic matrix, checked by ``_require_symplectic`` (its
+    one-matrix case); block views are computed, not stored."""
 
     g: np.ndarray
 
@@ -70,19 +103,7 @@ class SymplecticElement:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise DomainError(f"symplectic matrix must be 2n x 2n, got {g.shape}")
-        top = np.abs(g).max()
-        if not top < math.inf:
-            # a NaN entry makes top NaN; every comparison with NaN is false,
-            # so the checks below would pass it
-            raise DomainError("symplectic matrix must have finite entries")
-        n = g.shape[0] // 2
-        j = symplectic_form(n)
-        # max(1, x)**k equals max(1, x**k), so one scale serves both thresholds
-        scale = max(1.0, top)
-        if np.abs(g.T @ j @ g - j).max() > SP_TOL * scale ** 2:
-            raise InvariantViolation("matrix is not symplectic within tolerance")
-        if abs(np.linalg.det(g) - 1.0) > 1e-8 * scale ** (2 * n):
-            raise InvariantViolation("symplectic matrix must have determinant 1")
+        _require_symplectic(g)
         object.__setattr__(self, "g", g)
 
     @property
@@ -147,29 +168,73 @@ def _letter(kind: str, parameter, n: int | None):
     return par if kind == "t" else (par, det)
 
 
+def _letter_matrices(letters, n: int) -> np.ndarray:
+    """The matrices of letters (kind, parameter) already checked by ``_letter``,
+    as one (k, 2n, 2n) stack: ``t(b)`` = [[I, b], [0, I]], ``g(alpha)`` =
+    [[alpha^T, 0], [0, alpha^{-1}]] and ``sigma`` = [[0, -I], [I, 0]].  The
+    inverses of all the g letters come from one stacked ``inv``."""
+    out = np.zeros((len(letters), 2 * n, 2 * n))
+    i = np.eye(n)
+    gs = []
+    for x, (kind, par) in enumerate(letters):
+        if kind == "t":
+            out[x, :n, :n] = i
+            out[x, :n, n:] = par
+            out[x, n:, n:] = i
+        elif kind == "g":
+            out[x, :n, :n] = par[0].T
+            gs.append(x)
+        else:
+            out[x, :n, n:] = -i
+            out[x, n:, :n] = i
+    if gs:
+        out[gs, n:, n:] = np.linalg.inv(np.array([letters[x][1][0] for x in gs]))
+    return out
+
+
 def _generator_matrix(kind: str, parameter=None, n: int | None = None) -> np.ndarray:
     """The matrix of ``sp_generator(kind, parameter, n)``, its letter checked
     by ``_letter``, without building a checked element."""
     par = _letter(kind, parameter, n)
-    if kind == "t":
-        i = np.eye(len(par))
-        return _block([[i, par], [None, i]], len(par))
-    if kind == "g":
-        al, _ = par
-        return _block([[al.T, None], [None, np.linalg.inv(al)]], len(al))
-    i = np.eye(n)
-    return _block([[None, -i], [i, None]], n)
+    if n is None:
+        n = len(par if kind == "t" else par[0])
+    return _letter_matrices([(kind, par)], n)[0]
+
+
+def _word_products(words, n: int) -> np.ndarray:
+    """The products, left to right, of k words whose letters ``_letter`` has
+    already checked (lists of (kind, parameter)), as one (k, 2n, 2n) stack.
+
+    The words may differ in length, and an empty word gives I.  The letter
+    matrices come from one ``_letter_matrices`` call; then letter p of every
+    word that has one is multiplied in, over the stack, by one matmul
+    (``g[rows] = g[rows] @ letters``, or the whole stack when every word has
+    a letter p).  Each product has the bits of the one-word loop
+    ``g = g @ letter`` from I.  The products are plain arrays: checking them
+    is the caller's part.
+    """
+    lengths = [len(word) for word in words]
+    mats = _letter_matrices([letter for word in words for letter in word], n)
+    first = list(itertools.accumulate(lengths, initial=0))
+    g = np.eye(2 * n)[None].repeat(len(words), axis=0)
+    for p in range(max(lengths, default=0)):
+        rows = [r for r, length in enumerate(lengths) if length > p]
+        letters = mats.take([first[r] + p for r in rows], axis=0)
+        if len(rows) == len(words):
+            g = g @ letters
+        else:
+            g[rows] = g.take(rows, axis=0) @ letters
+    return g
 
 
 def word_to_symplectic(word, n: int) -> SymplecticElement:
     """Product of the generators in a word, left to right; the empty word gives I.
 
-    Each letter is checked against n; the matrices are multiplied as plain
-    arrays, and only the product is checked as a ``SymplecticElement``."""
-    g = np.eye(2 * n)
-    for kind, par in word:
-        g = g @ _generator_matrix(kind, par, n)
-    return SymplecticElement(g)
+    The one-word case of ``_word_products``: each letter is checked against n
+    by ``_letter``, the letters are multiplied as plain arrays, and only the
+    product is checked, as a ``SymplecticElement``."""
+    letters = [(kind, _letter(kind, par, n)) for kind, par in word]
+    return SymplecticElement(_word_products([letters], n)[0])
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import (SymplecticElement, _block, _sl2_entries, symplectic_form,
-                     word_to_symplectic)
+from .groups import (SymplecticElement, _block, _letter, _sl2_entries, _word_products,
+                     symplectic_form)
 from .linalg import _inertia
 
 ISO_TOL = 1e-10
 
 
+def _require_lagrangian(b: np.ndarray) -> None:
+    """Check one 2N x N basis, or each basis of a stack (k, 2N, N), as
+    ``Lagrangian`` checks its one basis: finite entries, full rank (least
+    singular value above 1e-9 times the largest), and isotropy b^T J b = 0
+    within ISO_TOL * max(1, largest singular value^2).
+
+    Raises the error of the first basis that fails, for the first check it
+    fails.  The isotropy threshold is at least ISO_TOL, so when a stack is
+    finite, of full rank and isotropic within ISO_TOL, one stacked SVD and
+    one reduction per check decide.  One basis, and a stack that this does
+    not decide, are checked one basis at a time, in order.
+    """
+    nn = b.shape[-1]
+    j = symplectic_form(nn)
+    if b.ndim == 3 and abs(b).max() < math.inf:
+        sv = np.linalg.svd(b, compute_uv=False)
+        if ((sv[:, -1] > 1e-9 * sv[:, 0]).all()
+                and abs(b.swapaxes(1, 2) @ j @ b).max() <= ISO_TOL):
+            return
+    for x in (b,) if b.ndim == 2 else b:
+        if not abs(x).max() < math.inf:
+            # a NaN entry makes the maximum NaN, which the checks below would pass
+            raise DomainError("Lagrangian basis must have finite entries")
+        sv = np.linalg.svd(x, compute_uv=False)
+        if sv[-1] <= 1e-9 * sv[0]:
+            raise InvariantViolation("basis is rank deficient")
+        if abs(x.T @ j @ x).max() > ISO_TOL * max(1.0, sv[0] ** 2):
+            raise InvariantViolation("subspace is not isotropic")
+
+
 @dataclass(frozen=True)
 class Lagrangian:
-    """A checked Lagrangian: a finite, full-rank, isotropic 2N x N basis, N >= 1.
+    """A checked Lagrangian: a finite, full-rank, isotropic 2N x N basis, N >= 1,
+    checked by ``_require_lagrangian`` (its one-basis case).
 
-    The checks run once, here, on every Lagrangian that is kept.  The Maslov
+    The checks run once, on every Lagrangian that is kept.  The Maslov
     functions below form images g L as plain basis arrays and build no
     ``Lagrangian`` for them.
     """
@@ -36,17 +67,7 @@ class Lagrangian:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != 2 * b.shape[1] or not b.size:
             raise DomainError(f"basis must be 2N x N with N >= 1, got {b.shape}")
-        if not np.abs(b).max() < math.inf:
-            # a NaN entry makes the maximum NaN, which the checks below would pass
-            raise DomainError("Lagrangian basis must have finite entries")
-        nn = b.shape[1]
-        sv = np.linalg.svd(b, compute_uv=False)
-        if sv[-1] <= 1e-9 * sv[0]:
-            raise InvariantViolation("basis is rank deficient")
-        j = symplectic_form(nn)
-        iso = b.T @ j @ b
-        if np.abs(iso).max() > ISO_TOL * max(1.0, sv[0] ** 2):
-            raise InvariantViolation("subspace is not isotropic")
+        _require_lagrangian(b)
         object.__setattr__(self, "basis", b)
 
     @property
@@ -135,9 +156,10 @@ def maslov_chain(ls) -> int:
     return int(_maslov_stack(x1, x2, x3).sum())
 
 
-def _tau_bases(basis: np.ndarray, g1: SymplecticElement, g2: SymplecticElement):
-    """The triple (L, g1 L, g1 g2 L) of tau_L(g1, g2) as plain basis arrays."""
-    return basis, g1.g @ basis, (g1.g @ g2.g) @ basis
+def _tau_bases(basis: np.ndarray, g1: np.ndarray, g2: np.ndarray):
+    """The triple (L, g1 L, g1 g2 L) of tau_L(g1, g2) as plain basis arrays,
+    from the plain matrices g1 and g2."""
+    return basis, g1 @ basis, (g1 @ g2) @ basis
 
 
 def tau_ell(l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> int:
@@ -147,13 +169,18 @@ def tau_ell(l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> int:
     the image of a checked Lagrangian under a checked symplectic element is
     Lagrangian up to rounding.
     """
-    x1, x2, x3 = (x[None] for x in _tau_bases(l.basis, g1, g2))
+    x1, x2, x3 = (x[None] for x in _tau_bases(l.basis, g1.g, g2.g))
     return int(_maslov_stack(x1, x2, x3)[0])
 
 
 def cocycle_clm(m: float, l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> complex:
     """Schrodinger-representation cocycle exp(-i pi m tau(l, g1 l, g1 g2 l) / 4)."""
-    return cmath.exp(-1j * math.pi * m * tau_ell(l, g1, g2) / 4)
+    return _cocycle_phase(m, tau_ell(l, g1, g2))
+
+
+def _cocycle_phase(m: float, tau: int) -> complex:
+    """The cocycle value exp(-i pi m tau / 4) of a Maslov index tau."""
+    return cmath.exp(-1j * math.pi * m * tau / 4)
 
 
 def cocycle_sl2(m1, m2, n: int = 1) -> complex:
@@ -169,30 +196,47 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
     return cmath.exp(-1j * math.pi * n * s / 4)
 
 
-def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
-    """Random word of 1 to 4 t/g/sigma generators with parameters at scale 0.6,
-    multiplied out by ``word_to_symplectic``: exact group membership.
+def _draw_word(rng: np.random.Generator, n: int) -> list:
+    """The letters of a random word of 1 to 4 t/g/sigma generators with
+    parameters at scale 0.6, each checked by ``_letter`` as it is drawn.
+
+    A g candidate alpha = I + 0.6 N(0, 1) is redrawn while |det alpha| < 0.3,
+    reading the determinant that ``_letter`` returns; a candidate that
+    ``_letter`` refuses (|det alpha| < 1e-12) is redrawn too, as the 0.3 rule
+    would redraw it, so the draws from ``rng`` do not depend on that check.
     """
     word = []
     for _ in range(rng.integers(1, 5)):
         kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
             b = rng.normal(size=(n, n)) * 0.6
-            word.append(("t", 0.5 * (b + b.T)))
+            word.append(("t", _letter("t", 0.5 * (b + b.T), n)))
         elif kind == "g":
-            al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
-            while abs(np.linalg.det(al)) < 0.3:
+            while True:
                 al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
-            word.append(("g", al))
+                try:
+                    par = _letter("g", al, n)
+                except DomainError:
+                    continue
+                if abs(par[1]) >= 0.3:
+                    break
+            word.append(("g", par))
         else:
             word.append(("sigma", None))
-    return word_to_symplectic(word, n)
+    return word
+
+
+def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:
+    """The product of one random word (``_draw_word``), by ``_word_products``:
+    exact group membership, checked as a ``SymplecticElement``."""
+    return SymplecticElement(_word_products([_draw_word(rng, n)], n)[0])
 
 
 def random_lagrangian(rng: np.random.Generator, n: int) -> Lagrangian:
     """Random symplectic image of the coordinate Lagrangian (isotropy exact).
 
-    The plain coordinate basis is transformed, so the returned Lagrangian is
-    the only one built and checked.
+    The product of one random word is checked as a ``SymplecticElement``,
+    and its image of the plain coordinate basis as the returned
+    ``Lagrangian``, the only one built.
     """
     return Lagrangian(random_symplectic(rng, n).g @ _coordinate_basis(n))

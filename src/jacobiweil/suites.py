@@ -1,6 +1,6 @@
 """Randomized verification suites behind the CLI and the acceptance tests.
 
-Each suite runs ``count`` cases from a seeded generator and returns a plain
+Each suite runs ``count`` >= 1 cases from a seeded generator and returns a plain
 dict (JSON-ready) with the worst residual, its tolerance, a pass flag and
 replay data for any failures.  All sampling is tamed to the moderate regime
 in which absolute residual gates are meaningful for double precision
@@ -14,17 +14,15 @@ import math
 import numpy as np
 
 from . import serialize
-from .automorphy import theta_multiplier
+from .automorphy import slash_km_nh, theta_multiplier
 from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement)
+                     SymplecticElement, _require_symplectic, _word_products)
 from .maass import casimir_km, sample_function
-from .maslov import (_chain_triples, _coordinate_basis, _maslov_stack, _tau_bases,
-                     cocycle_clm, cocycle_sl2, coordinate_lagrangian,
-                     random_lagrangian, random_symplectic)
+from .maslov import (_chain_triples, _cocycle_phase, _coordinate_basis, _draw_word,
+                     _maslov_stack, _require_lagrangian, _tau_bases, cocycle_sl2)
 from .theta import siegel_theta, theta_M, theta_weight_quarter
 from .weil import covariance_residual
-from .automorphy import slash_km_nh
 
 
 # --- tamed samplers ---------------------------------------------------------
@@ -115,10 +113,12 @@ def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
             "tol": tol, "passed": not failures, "failures": failures[:5], **extras}
 
 
-def _axiom_terms(ls, chain, aux, g, g1, g2, g3):
+def _axiom_terms(ls, chain, aux, g, g1, g2, g3, g12, g23):
     """The triples that the axiom checks of one case need, and each check as
     signed positions in that list: its defect is the signed sum of their
-    indices.  Images under g are plain bases, as in ``tau_ell``."""
+    indices.  The Lagrangians are plain bases and the group elements plain
+    matrices, g12 = g1 g2 and g23 = g2 g3 among them; images under g are
+    plain bases, as in ``tau_ell``."""
     triples = []
 
     def tau(*xs):
@@ -128,14 +128,12 @@ def _axiom_terms(ls, chain, aux, g, g1, g2, g3):
     def chain_tau(xs):
         return [tau(*t) for t in _chain_triples(xs)]
 
-    l1, l2, l3, l4 = (l.basis for l in ls[:4])
-    chain = [l.basis for l in chain]
-    a = aux.basis
+    l1, l2, l3, l4 = ls[:4]
     o = _coordinate_basis(l1.shape[1])
     t123 = tau(l1, l2, l3)
     c1234 = chain_tau([l1, l2, l3, l4])
     terms = {
-        "g_invariance": [(1, tau(*(g.g @ x for x in (l1, l2, l3)))), (-1, t123)],
+        "g_invariance": [(1, tau(*(g @ x for x in (l1, l2, l3)))), (-1, t123)],
         "antisym_12": [(1, tau(l2, l1, l3)), (1, t123)],
         "antisym_23": [(1, tau(l1, l3, l2)), (1, t123)],
         "cocycle4": [(1, t123), (-1, tau(l1, l2, l4)), (-1, tau(l2, l3, l4)),
@@ -146,22 +144,35 @@ def _axiom_terms(ls, chain, aux, g, g1, g2, g3):
                                + [(1, t) for t in chain_tau([l2, l1, l4, l3])]),
         # (d): chain decomposition against an auxiliary Lagrangian
         "chain_aux": ([(1, t) for t in chain_tau(chain)]
-                      + [(-1, tau(chain[j], chain[j + 1], a)) for j in range(len(chain) - 1)]
-                      + [(-1, tau(chain[-1], chain[0], a))]),
+                      + [(-1, tau(chain[j], chain[j + 1], aux)) for j in range(len(chain) - 1)]
+                      + [(-1, tau(chain[-1], chain[0], aux))]),
         # (g): additive cocycle identity for tau_l
-        "tau_cocycle": [(1, tau(*_tau_bases(o, g1 @ g2, g3))),
+        "tau_cocycle": [(1, tau(*_tau_bases(o, g12, g3))),
                         (1, tau(*_tau_bases(o, g1, g2))),
-                        (-1, tau(*_tau_bases(o, g1, g2 @ g3))),
+                        (-1, tau(*_tau_bases(o, g1, g23))),
                         (-1, tau(*_tau_bases(o, g2, g3)))],
     }
     return triples, terms
 
 
+def _indices(triples) -> list[int]:
+    """The Maslov indices of a list of (x1, x2, x3) basis triples of one N,
+    from one ``_maslov_stack`` call; no triples give no indices."""
+    if not triples:
+        return []
+    return _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
+
+
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     """Lemma-style axioms for the triple/chain index, exact integer equality.
 
-    A case draws its Lagrangians and group elements first; then the indices
-    of every triple its checks need come from one ``_maslov_stack`` call.
+    A case draws its words in a fixed order: six Lagrangians, g, the chain
+    length d, an auxiliary Lagrangian when d = 6, then g1, g2 and g3.  It
+    multiplies them in one stacked pass; one ``_require_symplectic`` call
+    checks every product together with g1 g2 and g2 g3, and one
+    ``_require_lagrangian`` call checks the 6 or 7 images of the coordinate
+    Lagrangian.  The indices of every triple its checks need then come from
+    one ``_maslov_stack`` call.
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -169,46 +180,70 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     checks = 0
     for i in range(count):
         n = (1, 2, 3)[rng.integers(3)]
-        ls = [random_lagrangian(rng, n) for _ in range(6)]
-        g = random_symplectic(rng, n)
+        words = [_draw_word(rng, n) for _ in range(7)]  # six Lagrangians, then g
         d = int(rng.integers(3, 7))  # chain length, up to 6
-        aux = ls[-1] if d < 6 else random_lagrangian(rng, n)
-        g1, g2, g3 = (random_symplectic(rng, n) for _ in range(3))
-        triples, terms = _axiom_terms(ls, ls[:d], aux, g, g1, g2, g3)
-        index = _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
+        words += [_draw_word(rng, n) for _ in range(4 if d == 6 else 3)]
+        prods = _word_products(words, n)
+        pairs = prods[[-3, -2]] @ prods[[-2, -1]]  # g1 g2 and g2 g3
+        _require_symplectic(np.concatenate([prods, pairs]))
+        # the auxiliary Lagrangian is the last basis: the drawn one when d = 6,
+        # the sixth one otherwise
+        bases = prods[[0, 1, 2, 3, 4, 5] + ([7] if d == 6 else [])] @ _coordinate_basis(n)
+        _require_lagrangian(bases)
+        triples, terms = _axiom_terms(bases[:6], bases[:d], bases[-1], prods[6],
+                                      *prods[-3:], *pairs)
+        index = _indices(triples)
         defects = {k: sum(sign * index[t] for sign, t in ts) for k, ts in terms.items()}
         checks += len(defects)
         bad = {k: v for k, v in defects.items() if v != 0}
         worst = max(worst, max((abs(v) for v in defects.values()), default=0))
         if bad:
             failures.append({"case": i, "n": n, "defects": bad,
-                             "lagrangians": [serialize.encode_matrix(l.basis)
-                                             for l in ls],
-                             "g": serialize.encode_matrix(g.g)})
+                             "lagrangians": [serialize.encode_matrix(b) for b in bases[:6]],
+                             "g": serialize.encode_matrix(prods[6])})
     return _report("maslov-axioms", seed, count, worst, tol, failures, checks=checks)
 
 
 def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
-    """cocycle_clm vs cocycle_sl2 on SL(2) pairs; the cocycle condition on Sp(2)."""
+    """cocycle_clm vs cocycle_sl2 on SL(2) pairs; the cocycle condition on Sp(2).
+
+    Every case is drawn first, in order: ``count`` SL(2) pairs, then
+    max(1, count // 5) triples of random words at n = 2.  One
+    ``_require_symplectic`` call checks the pairs, and one the word products
+    with g1 g2 and g2 g3; the Maslov indices of each dimension come from one
+    ``_maslov_stack`` call, and each becomes a ``cocycle_clm`` value by
+    ``_cocycle_phase``.
+    """
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
-    l1 = coordinate_lagrangian(1)
-    for i in range(count):
-        m1, m2 = rand_sl2(rng), rand_sl2(rng)
-        g1, g2 = SymplecticElement(m1), SymplecticElement(m2)
-        d = abs(cocycle_clm(1, l1, g1, g2) - cocycle_sl2(m1, m2, 1))
+    ms = np.array([rand_sl2(rng) for _ in range(2 * count)])
+    _require_symplectic(ms)
+    pairs = ms.reshape(count, 2, 2, 2)
+    o1 = _coordinate_basis(1)
+    taus = _indices([_tau_bases(o1, m1, m2) for m1, m2 in pairs])
+    for i, ((m1, m2), tau) in enumerate(zip(pairs, taus)):
+        d = abs(_cocycle_phase(1, tau) - cocycle_sl2(m1, m2, 1))
         worst = max(worst, d)
         if d > tol:
             failures.append({"case": i, "kind": "sl2-match",
                              "m1": serialize.encode_matrix(m1),
                              "m2": serialize.encode_matrix(m2), "defect": d})
-    l2 = coordinate_lagrangian(2)
+    cases = max(1, count // 5)
+    prods = _word_products([_draw_word(rng, 2) for _ in range(3 * cases)], 2)
+    g1, g2, g3 = prods.reshape(cases, 3, 4, 4).swapaxes(0, 1)
+    g12, g23 = g1 @ g2, g2 @ g3
+    _require_symplectic(np.concatenate([prods, g12, g23]))
+    o2 = _coordinate_basis(2)
+    # per case: tau(g1 g2, g3), tau(g1, g2), tau(g1, g2 g3), tau(g2, g3)
+    taus = _indices([t for c in range(cases)
+                     for t in (_tau_bases(o2, g12[c], g3[c]), _tau_bases(o2, g1[c], g2[c]),
+                               _tau_bases(o2, g1[c], g23[c]), _tau_bases(o2, g2[c], g3[c]))])
     mval = 1.0
-    for i in range(max(1, count // 5)):
-        g1, g2, g3 = (random_symplectic(rng, 2) for _ in range(3))
-        lhs = cocycle_clm(mval, l2, g1 @ g2, g3) * cocycle_clm(mval, l2, g1, g2)
-        rhs = cocycle_clm(mval, l2, g1, g2 @ g3) * cocycle_clm(mval, l2, g2, g3)
+    for i in range(cases):
+        t12_3, t1_2, t1_23, t2_3 = taus[4 * i:4 * i + 4]
+        lhs = _cocycle_phase(mval, t12_3) * _cocycle_phase(mval, t1_2)
+        rhs = _cocycle_phase(mval, t1_23) * _cocycle_phase(mval, t2_3)
         d = abs(lhs - rhs)
         worst = max(worst, d)
         if d > tol:
@@ -334,8 +369,12 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, count: int, tol: float | None = None) -> dict:
+    """The report of suite ``name``; a suite with no cases would pass having
+    checked nothing, so ``count`` must be positive."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    if count < 1:
+        raise DomainError(f"count must be a positive integer, got {count}")
     fn = SUITES[name]
     if tol is None:
         return fn(seed, count)

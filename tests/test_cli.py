@@ -150,6 +150,10 @@ def test_cli_usage_errors(tmp_path, capsys):
         # a sigma letter takes no parameter
         {"command": "covariance",
          "params": dict(VALID_PARAMS["covariance"], word=[["sigma", [[7.0, 3.0]]]])},
+        # a suite with no cases would pass having checked nothing
+        {"command": "verify-suite", "params": {"name": "maslov-axioms", "count": -5}},
+        {"command": "verify-suite", "params": {"name": "cocycles", "count": 0}},
+        {"command": "verify-suite", "params": {"name": "covariance", "count": -1}},
     ]
     for spec in malformed:
         bad.write_text(json.dumps(spec))

@@ -5,6 +5,8 @@ the package, of the tests and of the benchmark is parsed with ``ast`` (the
 files are only read), and a name bound by an import must occur elsewhere in
 the module as a name, as the base of an attribute, or inside a string
 annotation.  ``__init__.py`` files are skipped: their imports are re-exports.
+A package module also imports from each module in one ``from X import``
+statement; the tests repeat some on purpose, so that rule holds in ``src/`` only.
 """
 
 import ast
@@ -58,3 +60,24 @@ def test_no_unused_imports(module):
 def test_finds_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert set(_imported(tree)) - _used(tree) == {"math", "path"}
+
+
+def _repeated_from_imports(tree) -> dict[str, list[int]]:
+    """Each module named by more than one ``from X import`` statement, with their lines."""
+    lines = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines.setdefault("." * node.level + (node.module or ""), []).append(node.lineno)
+    return {module: sorted(at) for module, at in lines.items() if len(at) > 1}
+
+
+@pytest.mark.parametrize("module", sorted(m for m, p in MODULES.items() if p.parent == PACKAGE))
+def test_one_from_import_per_module(module):
+    tree = ast.parse(MODULES[module].read_text(), filename=module)
+    repeated = _repeated_from_imports(tree)
+    assert not repeated, f"{module}: more than one 'from X import' of {repeated}"
+
+
+def test_finds_a_repeated_from_import():
+    tree = ast.parse("from .a import x\nfrom os import sep\nfrom .a import y\nfrom a import z\n")
+    assert _repeated_from_imports(tree) == {".a": [1, 3]}

@@ -9,10 +9,13 @@ from jacobiweil import (DomainError, Lagrangian, SymplecticElement,
                         intersection_dim, maslov3, maslov_chain,
                         momentum_lagrangian, random_lagrangian,
                         random_symplectic, signature, sp_generator, sp_identity,
-                        tau_ell)
+                        tau_ell, word_to_symplectic)
 import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
-from jacobiweil.suites import rand_sl2, rand_sym, rand_word, suite_maslov_axioms
+from jacobiweil.groups import _letter, _word_products
+from jacobiweil.serialize import encode_matrix
+from jacobiweil.suites import (_report, rand_sl2, rand_sym, rand_word, suite_cocycles,
+                               suite_maslov_axioms)
 
 
 def span(*cols):
@@ -269,3 +272,135 @@ def test_rand_word_matches_choice_draws(n):
             else:
                 assert par.shape == want.shape and par.tobytes() == want.tobytes()
         assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_products_match_per_word(n):
+    # k words of mixed lengths, the empty word among them, multiplied in one
+    # stack: each product has the bits of its one-word product
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        words = [rand_word(rng, n) for _ in range(int(rng.integers(1, 8)))]
+        words.insert(int(rng.integers(len(words) + 1)), [])
+        letters = [[(kind, _letter(kind, par, n)) for kind, par in w] for w in words]
+        stack = _word_products(letters, n)
+        assert stack.shape == (len(words), 2 * n, 2 * n)
+        for word, g in zip(words, stack):
+            ref = np.eye(2 * n)
+            for kind, par in word:
+                ref = ref @ sp_generator(kind, par, n).g
+            assert g.tobytes() == ref.tobytes()
+            assert g.tobytes() == word_to_symplectic(word, n).g.tobytes()
+
+
+# --- the suites against their case-by-case form --------------------------------
+
+
+def _random_lagrangian_per_letter(rng, n):
+    return Lagrangian(_random_symplectic_per_letter(rng, n).g
+                      @ np.vstack([np.eye(n), np.zeros((n, n))]))
+
+
+def _maslov_axioms_case_by_case(rng, count):
+    """``suite_maslov_axioms`` as it was written: each draw checked on its own
+    and each index from the public one-triple or one-chain functions."""
+    failures, worst, checks = [], 0, 0
+    for i in range(count):
+        n = (1, 2, 3)[rng.integers(3)]
+        ls = [_random_lagrangian_per_letter(rng, n) for _ in range(6)]
+        g = _random_symplectic_per_letter(rng, n)
+        d = int(rng.integers(3, 7))
+        aux = ls[-1] if d < 6 else _random_lagrangian_per_letter(rng, n)
+        g1, g2, g3 = (_random_symplectic_per_letter(rng, n) for _ in range(3))
+        l1, l2, l3, l4 = ls[:4]
+        chain = ls[:d]
+        o = coordinate_lagrangian(n)
+        t123 = maslov3(l1, l2, l3)
+        defects = {
+            "g_invariance": maslov3(*(l.transformed(g) for l in (l1, l2, l3))) - t123,
+            "antisym_12": maslov3(l2, l1, l3) + t123,
+            "antisym_23": maslov3(l1, l3, l2) + t123,
+            "cocycle4": (t123 - maslov3(l1, l2, l4) - maslov3(l2, l3, l4)
+                         - maslov3(l3, l1, l4)),
+            "chain_circular": maslov_chain([l1, l2, l3, l4]) - maslov_chain([l2, l3, l4, l1]),
+            "chain_reverse_pair": (maslov_chain([l1, l2, l3, l4])
+                                   + maslov_chain([l2, l1, l4, l3])),
+            "chain_aux": (maslov_chain(chain)
+                          - sum(maslov3(chain[j], chain[j + 1], aux)
+                                for j in range(len(chain) - 1))
+                          - maslov3(chain[-1], chain[0], aux)),
+            "tau_cocycle": (tau_ell(o, g1 @ g2, g3) + tau_ell(o, g1, g2)
+                            - tau_ell(o, g1, g2 @ g3) - tau_ell(o, g2, g3)),
+        }
+        checks += len(defects)
+        bad = {k: v for k, v in defects.items() if v != 0}
+        worst = max(worst, max(abs(v) for v in defects.values()))
+        if bad:
+            failures.append({"case": i, "n": n, "defects": bad,
+                             "lagrangians": [encode_matrix(l.basis) for l in ls],
+                             "g": encode_matrix(g.g)})
+    return worst, failures, {"checks": checks}
+
+
+def _cocycles_case_by_case(rng, count, tol=1e-12):
+    """``suite_cocycles`` as it was written: one ``cocycle_clm`` call, and so one
+    Maslov kernel call, per value."""
+    failures, worst = [], 0.0
+    l1 = coordinate_lagrangian(1)
+    for i in range(count):
+        m1, m2 = rand_sl2(rng), rand_sl2(rng)
+        g1, g2 = SymplecticElement(m1), SymplecticElement(m2)
+        d = abs(cocycle_clm(1, l1, g1, g2) - cocycle_sl2(m1, m2, 1))
+        worst = max(worst, d)
+        if d > tol:
+            failures.append({"case": i, "kind": "sl2-match", "m1": encode_matrix(m1),
+                             "m2": encode_matrix(m2), "defect": d})
+    l2 = coordinate_lagrangian(2)
+    for i in range(max(1, count // 5)):
+        g1, g2, g3 = (_random_symplectic_per_letter(rng, 2) for _ in range(3))
+        lhs = cocycle_clm(1.0, l2, g1 @ g2, g3) * cocycle_clm(1.0, l2, g1, g2)
+        rhs = cocycle_clm(1.0, l2, g1, g2 @ g3) * cocycle_clm(1.0, l2, g2, g3)
+        d = abs(lhs - rhs)
+        worst = max(worst, d)
+        if d > tol:
+            failures.append({"case": i, "kind": "cocycle-condition", "defect": d})
+    return worst, failures, {}
+
+
+@pytest.mark.parametrize("name, suite, case_by_case, count, tol", [
+    ("maslov-axioms", suite_maslov_axioms, _maslov_axioms_case_by_case, 5, 0.0),
+    ("cocycles", suite_cocycles, _cocycles_case_by_case, 15, 1e-12),
+])
+def test_suite_matches_case_by_case(monkeypatch, name, suite, case_by_case, count, tol):
+    # the same report, and the same draws from the generator
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(default_rng(seed)) or made[-1])
+    # a direct call with no cases still gives the report it gave case by case
+    for seed, cases in [(seed, count) for seed in range(10)] + [(0, 0)]:
+        report = suite(seed, cases)
+        ref = default_rng(seed)
+        worst, failures, extras = case_by_case(ref, cases)
+        assert report == _report(name, seed, cases, worst, tol, failures, **extras)
+        assert made[-1].random() == ref.random()
+
+
+def test_maslov_zero_rule_has_a_wide_margin(monkeypatch):
+    # every eigenvalue of the suites' Grams is far from the zero threshold
+    # 1e-9 * scale, on both sides, so last-bit changes in the stacked
+    # products cannot flip an index
+    grams = []
+    inertia = maslov_mod._inertia
+    monkeypatch.setattr(maslov_mod, "_inertia", lambda q: grams.append(q) or inertia(q))
+    for seed in range(10):
+        suite_maslov_axioms(seed, 5)
+        suite_cocycles(seed, 15)
+    assert len(grams) == 10 * (5 + 2)
+    for q in grams:
+        a = abs(np.linalg.eigvalsh(0.5 * (q + q.swapaxes(-1, -2))))
+        threshold = np.broadcast_to(1e-9 * np.maximum(1.0, a.max(axis=-1, keepdims=True)),
+                                    a.shape)
+        nonzero = a > threshold
+        assert (a[nonzero] > 100 * threshold[nonzero]).all()
+        assert (a[~nonzero] < 0.01 * threshold[~nonzero]).all()
