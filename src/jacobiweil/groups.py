@@ -135,9 +135,14 @@ def sp_generator(kind: str, parameter=None, n: int | None = None) -> SymplecticE
 
     ``t(b)`` = [[I, b], [0, I]] for symmetric b; ``g(alpha)`` =
     [[alpha^T, 0], [0, alpha^{-1}]] for invertible alpha; ``sigma`` =
-    [[0, -I], [I, 0]].  With n given, b or alpha must be n x n.
+    [[0, -I], [I, 0]].  With n given, b or alpha must be n x n.  The letter is
+    checked by ``_letter`` and its matrix built by ``_letter_matrices``; without
+    n, the parameter's size gives it.
     """
-    return SymplecticElement(_generator_matrix(kind, parameter, n))
+    par = _letter(kind, parameter, n)
+    if n is None:
+        n = len(par if kind == "t" else par[0])
+    return SymplecticElement(_letter_matrices([(kind, par)], n)[0])
 
 
 def _letter(kind: str, parameter, n: int | None):
@@ -190,15 +195,6 @@ def _letter_matrices(letters, n: int) -> np.ndarray:
     if gs:
         out[gs, n:, n:] = np.linalg.inv(np.array([letters[x][1][0] for x in gs]))
     return out
-
-
-def _generator_matrix(kind: str, parameter=None, n: int | None = None) -> np.ndarray:
-    """The matrix of ``sp_generator(kind, parameter, n)``, its letter checked
-    by ``_letter``, without building a checked element."""
-    par = _letter(kind, parameter, n)
-    if n is None:
-        n = len(par if kind == "t" else par[0])
-    return _letter_matrices([(kind, par)], n)[0]
 
 
 def _word_products(words, n: int) -> np.ndarray:

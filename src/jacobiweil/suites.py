@@ -107,6 +107,13 @@ def rand_gamma04(rng, max_entry=50):
 # --- suites -----------------------------------------------------------------
 
 
+def _require_cases(count: int) -> None:
+    """Every suite's first check: a suite with no cases would pass having checked
+    nothing, so ``count`` must be positive."""
+    if count < 1:
+        raise DomainError(f"count must be a positive integer, got {count}")
+
+
 def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
     """One suite's report with its own ``extras``; five failures at most are kept."""
     return {"suite": suite, "seed": seed, "count": count, "max_residual": float(worst),
@@ -174,6 +181,7 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     Lagrangian.  The indices of every triple its checks need then come from
     one ``_maslov_stack`` call.
     """
+    _require_cases(count)
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0
@@ -214,6 +222,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
     ``_maslov_stack`` call, and each becomes a ``cocycle_clm`` value by
     ``_cocycle_phase``.
     """
+    _require_cases(count)
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
@@ -253,6 +262,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
 
 def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
     """Covariance residuals for random generator words at random points."""
+    _require_cases(count)
     rng = np.random.default_rng(seed)
     failures = []
     worst = 0.0
@@ -276,6 +286,7 @@ def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
 
 def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
     """Siegel-theta translation/inversion laws and the Gamma_0(4) multiplier."""
+    _require_cases(count)
     rng = np.random.default_rng(seed)
     failures = []
     worst_translate = 0.0
@@ -324,6 +335,7 @@ def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
 
 def suite_casimir_invariance(seed: int, count: int, tol: float = 1e-4) -> dict:
     """Relative invariance defect of the weight-(k, m) Casimir at h = 1e-3."""
+    _require_cases(count)
     rng = np.random.default_rng(seed)
     func = sample_function("poly-exp")
     k, m = 3, 2
@@ -369,12 +381,9 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, count: int, tol: float | None = None) -> dict:
-    """The report of suite ``name``; a suite with no cases would pass having
-    checked nothing, so ``count`` must be positive."""
+    """The report of suite ``name``; the suite itself refuses a ``count`` below 1."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    if count < 1:
-        raise DomainError(f"count must be a positive integer, got {count}")
     fn = SUITES[name]
     if tol is None:
         return fn(seed, count)

@@ -7,8 +7,8 @@ The module realizes three layers:
   e^{2 pi i} normalization; SW_SCALE = 0.5 is the normalization under which
   the covariant map transforms by the J* factor).
 * the three Weil generator operators t(b), g(alpha), sigma_n, frozen at the
-  calibrated SW normalization (see ``test_calibration_regression``), plus
-  word application with a phase log;
+  calibrated SW normalization (see ``test_calibration_regression``), applied
+  by one letter loop: a word's M and letters are checked once, then applied;
 * the Iwasawa operators: the ground-state-pinned rotation flow
   R~(i, theta) and the full R~(tau, theta), which is what the theta-sum
   machinery uses.  The rotation is applied in closed form, with
@@ -36,8 +36,8 @@ import numpy as np
 
 from .automorphy import J_star_M, MetaplecticElement, metaplectic_lifts
 from .errors import DomainError
-from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     IwasawaCoords, _letter, jacobi_act, word_to_symplectic)
+from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
+                     SymplecticElement, _letter, _word_products, jacobi_act)
 from .linalg import holo_sqrt_det, principal_pow_half
 from .states import (GaussianState, covariant_map, evaluate, index_matrix,
                      sample_grid)
@@ -71,10 +71,27 @@ def sw_heisenberg_apply(m_index, h: HeisenbergElement, f: GaussianState) -> Gaus
 
 
 def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
-    """Apply one Weil generator operator at the SW normalization.
+    """Apply one Weil generator ``("t", b)``, ``("g", alpha)`` or ``("sigma", None)``
+    at the SW normalization: the one-letter word ``weil_apply_word(m_index, [gen], f)``."""
+    return weil_apply_word(m_index, [gen], f)
 
-    ``gen`` is ``("t", b)``, ``("g", alpha)`` or ``("sigma", None)``, checked
-    as in ``word_to_symplectic`` with n the width of f.
+
+def weil_apply_word(m_index, word, f: GaussianState) -> GaussianState:
+    """Apply U(g_1) ... U(g_k) to f (rightmost letter acts first) and return the state.
+
+    The word must be nonempty.  M and every letter are checked once, the letters
+    left to right by ``groups._letter`` with n the width of f, before
+    ``_apply_letters`` applies any operator."""
+    if not word:
+        raise DomainError("word must be nonempty")
+    mm = index_matrix(m_index)
+    n = f.shape[1]
+    return _apply_letters(mm, [(kind, _letter(kind, par, n)) for kind, par in word], f)
+
+
+def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
+    """Apply letters (kind, parameter) already checked by ``groups._letter``, with M
+    already checked, to f, rightmost first; no letters leave f as it is.
 
     * t(b): multiply by exp(2 pi i T_SCALE tr(M x b x^T)); A += 2 T_SCALE b.
     * g(alpha): (det alpha)^{m/2} f(x alpha^T); principal half-power branch.
@@ -82,45 +99,22 @@ def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
       (1/i)^{mn/2} (det M)^{n/2} \\int f(y) exp(-2 pi i tr(M y x^T)) dy,
       evaluated in closed form; the square-root prefactor is
       holo_sqrt_det(-i (M kron A))^{-1}, whose argument has positive
-      definite real part M kron Im A.
+      definite real part M kron Im A.  It leaves the zero state as it is.
     """
-    mm = index_matrix(m_index)
     m, n = f.shape
-    kind, par = gen
-    par = _letter(kind, par, n)
-    if kind == "t":
-        return GaussianState(f.c, f.a + 2 * T_SCALE * par, f.b)
-    if kind == "g":
-        al, det = par
-        pref = principal_pow_half(det, m)
-        return GaussianState(f.c * pref, al.T @ f.a @ al, f.b @ al)
-    if f.c == 0:
-        return f
-    a_inv = np.linalg.inv(f.a)
-    pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
-    root = holo_sqrt_det(-1j * np.kron(mm, f.a))
-    gauss = np.exp(-1j * np.pi * np.trace(mm @ f.b @ a_inv @ f.b.T))
-    c2 = f.c * pref / root * gauss
-    return GaussianState(c2, -a_inv, f.b @ a_inv)
-
-
-def weil_apply_word(m_index, word, f: GaussianState):
-    """Apply U(g_1) ... U(g_k) to f (rightmost letter acts first).
-
-    Returns the final state and a log of per-step amplitude phases, from
-    which projective multipliers of two factorizations of the same group
-    element can be compared.
-    """
-    if not word:
-        raise DomainError("word must be nonempty")
-    phase_log = []
-    for gen in reversed(list(word)):
-        prev = f.c
-        f = weil_generator_apply(m_index, gen, f)
-        step = f.c / prev if prev != 0 else 1.0
-        phase_log.append(step / abs(step) if step != 0 else 1.0)
-    phase_log.reverse()
-    return f, phase_log
+    for kind, par in reversed(letters):
+        if kind == "t":
+            f = GaussianState(f.c, f.a + 2 * T_SCALE * par, f.b)
+        elif kind == "g":
+            al, det = par
+            f = GaussianState(f.c * principal_pow_half(det, m), al.T @ f.a @ al, f.b @ al)
+        elif f.c != 0:
+            a_inv = np.linalg.inv(f.a)
+            pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
+            root = holo_sqrt_det(-1j * np.kron(mm, f.a))
+            gauss = np.exp(-1j * np.pi * np.trace(mm @ f.b @ a_inv @ f.b.T))
+            f = GaussianState(f.c * pref / root * gauss, -a_inv, f.b @ a_inv)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +182,15 @@ def sw_rotation_apply(m_index, theta: float, f: GaussianState) -> GaussianState:
 def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState) -> GaussianState:
     """R~(tau, theta) = U(t(x I)) U(g(sqrt(y) I)) R~(i, theta).
 
-    theta is the angle stored in ``coords``, reduced to [0, 2 pi); a caller
-    that needs the unreduced (double cover) angle applies
-    ``sw_rotation_apply`` at that angle itself.
+    After the rotation, t(x I) g(sqrt(y) I) is applied as one two-letter word
+    by ``weil_apply_word``.  theta is the angle stored in ``coords``, reduced
+    to [0, 2 pi); a caller that needs the unreduced (double cover) angle
+    applies ``sw_rotation_apply`` at that angle itself.
     """
     n = f.shape[1]
     x, y = coords.tau.real, coords.tau.imag
     out = sw_rotation_apply(m_index, coords.theta, f)
-    out = weil_generator_apply(m_index, ("g", math.sqrt(y) * np.eye(n)), out)
-    return weil_generator_apply(m_index, ("t", x * np.eye(n)), out)
+    return weil_apply_word(m_index, [("t", x * np.eye(n)), ("g", math.sqrt(y) * np.eye(n))], out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +201,31 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
                         branch: complex | str = "auto"):
     """Sup over ``sample_grid`` of |omega(g~) F_{O,Z}(x) - J*(g~,(O,Z))^{-1} F_{g~.(O,Z)}(x)|.
 
-    The element is (word product, h) with a metaplectic branch; ``"auto"``
-    selects the lift matching the word and reports it.  The word product is
-    formed first, so a malformed letter raises before any operator runs.
+    The element is (word product, h) with a metaplectic branch.  M and each
+    letter are checked once, before any operator runs, and the checked letters
+    give both g (``groups._word_products``) and its operator (``_apply_letters``).
+    ``"auto"`` takes the better of the lifts (g, +-eps0) of ``metaplectic_lifts``,
+    +eps0 on a tie: J* holds eps^{-m}, so (g, -eps0) has (-1)^m times the J* of
+    (g, eps0), and J* is evaluated once.
 
     Returns (residual, eps_used).
     """
     mm = index_matrix(m_index)
     m, n = p.m, p.n
-    g = word_to_symplectic(word, n)
+    letters = [(kind, _letter(kind, par, n)) for kind, par in word]
+    g = SymplecticElement(_word_products([letters], n)[0])
     f = covariant_map(mm, p)
-    st = sw_heisenberg_apply(mm, h, f)
-    if word:
-        st, _ = weil_apply_word(mm, word, st)
-    elt = JacobiElement(g, h)
-    target = covariant_map(mm, jacobi_act(elt, p))
+    st = _apply_letters(mm, letters, sw_heisenberg_apply(mm, h, f))
+    target = covariant_map(mm, jacobi_act(JacobiElement(g, h), p))
     grid = sample_grid(m, n)
-    # each state once over the whole grid; the candidate lifts differ only in js
+    # each state once over the whole grid; the two lifts differ only in js
     lhs = evaluate(st, mm, grid)
     rhs = evaluate(target, mm, grid)
-    lift_plus, lift_minus = metaplectic_lifts(g)
+    lift = metaplectic_lifts(g)[0] if branch == "auto" else MetaplecticElement(g, complex(branch))
+    js = J_star_M(mm, lift, h, p)
+    res = float(np.abs(lhs - rhs / js).max())
     if branch == "auto":
-        candidates = [lift_plus, lift_minus]
-    else:
-        candidates = [MetaplecticElement(g, complex(branch))]
-    best = None
-    for lift in candidates:
-        js = J_star_M(mm, lift, h, p)
-        res = float(np.abs(lhs - rhs / js).max())
-        if best is None or res < best[0]:
-            best = (res, lift.eps)
-    return best
-
+        other = float(np.abs(lhs - rhs / ((-1) ** m * js)).max())
+        if other < res:
+            return other, -lift.eps
+    return res, lift.eps

@@ -309,3 +309,28 @@ def test_run_job_casimir():
                                        "tau": [0.2, 1.1], "z": [0.1, 0.2]}})
     assert code == 0
     assert result["outputs"]["value"][0] == pytest.approx(5 / 8, abs=1e-9)
+
+
+def test_cli_theta_flat_pair_shorthand(tmp_path, capsys):
+    # with n and m given, flat scalars pair up as (re, im): [[0, 1]] is [[i]]
+    def run(params):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"command": "theta", "tol": 1e-9,
+                                    "params": dict(params, M=[[2.0]])}))
+        code = main(["--job", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return code, json.loads(lines[0])
+
+    code, pair = run({"omega": [[[0, 1]]], "z": [[[0, 0]]]})
+    assert code == 0
+    code, flat = run({"omega": [[0, 1]], "z": [[0, 0]], "n": 1, "m": 1})
+    assert code == 0
+    assert flat["outputs"] == pair["outputs"]
+    assert flat["certification"] == pair["certification"]
+    # an odd number of scalars pairs up into no matrix
+    code, doc = run({"omega": [[0, 1, 2]], "z": [[0, 0]], "n": 1, "m": 1})
+    assert code == 2 and "cannot decode a (1, 1) complex matrix" in doc["error"]
+    # without n the flat form is read strictly, as a 1 x 2 Omega
+    code, doc = run({"omega": [[0, 1]], "z": [[0, 0]], "m": 1})
+    assert code == 2 and "expected a square matrix, got shape (1, 2)" in doc["error"]

@@ -7,9 +7,13 @@ the module as a name, as the base of an attribute, or inside a string
 annotation.  ``__init__.py`` files are skipped: their imports are re-exports.
 A package module also imports from each module in one ``from X import``
 statement; the tests repeat some on purpose, so that rule holds in ``src/`` only.
+A test or benchmark file takes a function or class from the module that
+defines it, or from the package root, not through a module that only imports it.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,33 @@ def test_one_from_import_per_module(module):
 def test_finds_a_repeated_from_import():
     tree = ast.parse("from .a import x\nfrom os import sep\nfrom .a import y\nfrom a import z\n")
     assert _repeated_from_imports(tree) == {".a": [1, 3]}
+
+
+def _reimported(tree) -> list[tuple[str, str, int]]:
+    """Each function or class that a ``from jacobiweil.<mod> import`` takes from a
+    module that does not define it, as (module, name, line)."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").startswith("jacobiweil.")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                        and obj.__module__ != node.module):
+                    found.append((node.module, alias.name, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(m for m, p in MODULES.items() if p.parent != PACKAGE))
+def test_names_come_from_their_defining_module(module):
+    tree = ast.parse(MODULES[module].read_text(), filename=module)
+    found = _reimported(tree)
+    assert not found, f"{module}: imports a name through a module that does not define it: {found}"
+
+
+def test_finds_a_reimported_name():
+    tree = ast.parse("from jacobiweil.suites import covariance_residual, rand_word\n"
+                     "from jacobiweil import covariance_residual\n"
+                     "from jacobiweil.weil import SW_SCALE, covariance_residual\n")
+    assert _reimported(tree) == [("jacobiweil.suites", "covariance_residual", 1)]

@@ -87,8 +87,8 @@ def _word_rotation_reference(m_index, theta, f):
     pin = cmath.exp(-1j * m * n * theta / 2)
     if not word:
         return f.scaled(pin)
-    zeta, _ = weil_apply_word(m_index, word, ground_state(n, m))
-    out, _ = weil_apply_word(m_index, word, f)
+    zeta = weil_apply_word(m_index, word, ground_state(n, m))
+    out = weil_apply_word(m_index, word, f)
     return out.scaled(pin / zeta.c)
 
 
@@ -126,16 +126,16 @@ def test_rotation_closed_form_matches_word_reference(rng):
 
 
 def test_rotation_applies_no_generator(monkeypatch, rng):
-    calls = []
-    original = weil.weil_generator_apply
-    monkeypatch.setattr(weil, "weil_generator_apply",
-                        lambda *args: calls.append(args[1]) or original(*args))
+    letters = []
+    original = weil._apply_letters
+    monkeypatch.setattr(weil, "_apply_letters",
+                        lambda mm, word, f: letters.extend(word) or original(mm, word, f))
     f = rand_schwartz_state(rng, 2)
     weil.sw_rotation_apply(np.eye(1), 1.3, f)
-    assert calls == []
-    # the counter sees the two letters that follow the rotation in R~(tau, theta)
+    assert letters == []
+    # the letter loop sees the two letters that follow the rotation in R~(tau, theta)
     weil.sw_iwasawa_apply(np.eye(1), IwasawaCoords(0.3 + 1.2j, 1.3), f)
-    assert len(calls) == 2
+    assert len(letters) == 2
 
 
 def test_gamma_invariance_all_generators(rng):

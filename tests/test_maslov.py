@@ -14,8 +14,8 @@ import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
 from jacobiweil.groups import _letter, _word_products
 from jacobiweil.serialize import encode_matrix
-from jacobiweil.suites import (_report, rand_sl2, rand_sym, rand_word, suite_cocycles,
-                               suite_maslov_axioms)
+from jacobiweil.suites import (SUITES, _report, rand_sl2, rand_sym, rand_word,
+                               suite_cocycles, suite_maslov_axioms)
 
 
 def span(*cols):
@@ -377,13 +377,25 @@ def test_suite_matches_case_by_case(monkeypatch, name, suite, case_by_case, coun
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(default_rng(seed)) or made[-1])
-    # a direct call with no cases still gives the report it gave case by case
-    for seed, cases in [(seed, count) for seed in range(10)] + [(0, 0)]:
-        report = suite(seed, cases)
+    for seed in range(10):
+        report = suite(seed, count)
         ref = default_rng(seed)
-        worst, failures, extras = case_by_case(ref, cases)
-        assert report == _report(name, seed, cases, worst, tol, failures, **extras)
+        worst, failures, extras = case_by_case(ref, count)
+        assert report == _report(name, seed, count, worst, tol, failures, **extras)
         assert made[-1].random() == ref.random()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_refuse_no_cases(monkeypatch, name):
+    # a suite with no cases would pass having checked nothing; it refuses the
+    # count before it builds its generator
+    made = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed))
+    for count in (0, -1):
+        with pytest.raises(DomainError) as info:
+            SUITES[name](0, count)
+        assert str(info.value) == f"count must be a positive integer, got {count}"
+    assert made == []
 
 
 def test_maslov_zero_rule_has_a_wide_margin(monkeypatch):

@@ -17,10 +17,12 @@ from jacobiweil import (DomainError, GaussianState, HeisenbergElement,
                         l2_norm_sq, sample_grid, schrodinger_apply,
                         sp_generator, state_distance, sw_heisenberg_apply,
                         theta_M, weil_apply_word, weil_generator_apply)
+from jacobiweil.automorphy import metaplectic_lifts
+from jacobiweil.groups import word_to_symplectic
 from jacobiweil.maslov import cocycle_sl2
 from jacobiweil.suites import (rand_heisenberg, rand_index, rand_point,
                                rand_word)
-from jacobiweil.weil import SW_SCALE, T_SCALE, word_to_symplectic
+from jacobiweil.weil import SW_SCALE, T_SCALE
 
 
 def rand_state(rng, n, m):
@@ -212,16 +214,16 @@ def test_parity_commutes_with_generators(rng):
         mm = rand_index(rng, m)
         f = rand_state(rng, n, m)
         word = rand_word(rng, n, 4)
-        a, _ = weil_apply_word(mm, word, f.parity_flip())
-        b, _ = weil_apply_word(mm, word, f)
+        a = weil_apply_word(mm, word, f.parity_flip())
+        b = weil_apply_word(mm, word, f)
         assert state_distance(a, b.parity_flip(), mm) < 1e-12
 
 
 def test_word_phase_log(rng):
     mm = rand_index(rng, 1)
     f = ground_state(1)
-    out, log = weil_apply_word(mm, [("t", np.zeros((1, 1)))], f)
-    assert log == [1.0] and state_distance(out, f, mm) == 0
+    out = weil_apply_word(mm, [("t", np.zeros((1, 1)))], f)
+    assert state_distance(out, f, mm) == 0
     with pytest.raises(DomainError):
         weil_apply_word(mm, [], f)
 
@@ -234,8 +236,8 @@ def test_sigma_squared_vs_g_minus_one(rng):
     # plus or minus the sl2 cocycle value (deck ambiguity of the branch)
     mm = np.eye(1)
     f = rand_state(rng, 1, 1)
-    two, _ = weil_apply_word(mm, [("sigma", None), ("sigma", None)], f)
-    one, _ = weil_apply_word(mm, [("g", -np.eye(1))], f)
+    two = weil_apply_word(mm, [("sigma", None), ("sigma", None)], f)
+    one = weil_apply_word(mm, [("g", -np.eye(1))], f)
     ratio = two.c / one.c
     assert abs(abs(ratio) - 1) < 1e-12
     assert state_distance(two.scaled(1 / ratio), one, mm) < 1e-12
@@ -285,8 +287,8 @@ def test_projective_multiplier_matches_sl2_cocycle(rng):
         phi1, p1 = _phi_word(w1)
         phi2, p2 = _phi_word(w2)
         assert np.allclose(p1, p2, atol=1e-9)
-        u1, _ = weil_apply_word(mm, w1, f)
-        u2, _ = weil_apply_word(mm, w2, f)
+        u1 = weil_apply_word(mm, w1, f)
+        u2 = weil_apply_word(mm, w2, f)
         ratio = u1.c / u2.c
         worst = max(worst, abs(ratio - phi1 / phi2))
     assert worst < 1e-9
@@ -305,9 +307,9 @@ def test_stone_von_neumann_intertwining(rng):
         g = word_to_symplectic(word, n)
         h = rand_heisenberg(rng, n, m)
         f = rand_state(rng, n, m)
-        lhs, _ = weil_apply_word(mm, word, sw_heisenberg_apply(mm, h, f))
+        lhs = weil_apply_word(mm, word, sw_heisenberg_apply(mm, h, f))
         moved = heis_conjugate(g, h)
-        base, _ = weil_apply_word(mm, word, f)
+        base = weil_apply_word(mm, word, f)
         rhs = sw_heisenberg_apply(mm, moved, base)
         worst = max(worst, state_distance(lhs, rhs, mm))
     assert worst < 1e-10
@@ -343,6 +345,25 @@ def test_covariance_fixed_branch_selects(rng):
     # the reported branch reproduces the residual; the other one fails
     assert covariance_residual(mm, word, h, p, branch=eps)[0] == pytest.approx(res)
     assert covariance_residual(mm, word, h, p, branch=-eps)[0] > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_covariance_auto_branch_is_the_better_lift(n, m):
+    # "auto" evaluates J* once and takes the other lift's as (-1)^m times it;
+    # it must return exactly what the better explicit branch returns, +eps0 on a tie
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        mm = rand_index(rng, m)
+        word = rand_word(rng, n)
+        h = rand_heisenberg(rng, n, m)
+        p = rand_point(rng, n, m)
+        eps0 = metaplectic_lifts(word_to_symplectic(word, n))[0].eps
+        plus = covariance_residual(mm, word, h, p, branch=eps0)
+        minus = covariance_residual(mm, word, h, p, branch=-eps0)
+        expected = minus if minus[0] < plus[0] else plus
+        got = covariance_residual(mm, word, h, p)
+        assert got == expected and repr(got) == repr(expected), (n, m, seed)
 
 
 def test_calibration_regression(rng):
