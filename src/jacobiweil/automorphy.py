@@ -161,9 +161,11 @@ class HalfWeight:
     m_index: np.ndarray
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise DomainError("weight numerator k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
+        # int() would truncate 2.7 to 2 and read "3" or True; the rule of maass.multiplicity
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise DomainError(f"weight numerator k must be an integer >= 1, got {k!r}")
+        object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "m_index", index_matrix(self.m_index))
 
 

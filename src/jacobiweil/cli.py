@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
                     "params": {"name": args.suite, "seed": args.seed,
                                "count": args.count}}
         elif args.job is not None:
-            raw = sys.stdin.read() if args.job == "-" else open(args.job).read()
+            raw = sys.stdin.read() if args.job == "-" else Path(args.job).read_text()
             spec = json.loads(raw)
         else:
             _PARSER.print_usage(sys.stderr)

@@ -16,6 +16,7 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,7 +175,7 @@ def _letter(kind: str, parameter, n: int | None):
 
 
 def _letter_matrices(letters, n: int) -> np.ndarray:
-    """The matrices of letters (kind, parameter) already checked by ``_letter``,
+    """The matrices of letters (kind, parameter) in ``_letter``'s output form,
     as one (k, 2n, 2n) stack: ``t(b)`` = [[I, b], [0, I]], ``g(alpha)`` =
     [[alpha^T, 0], [0, alpha^{-1}]] and ``sigma`` = [[0, -I], [I, 0]].  The
     inverses of all the g letters come from one stacked ``inv``."""
@@ -198,8 +199,8 @@ def _letter_matrices(letters, n: int) -> np.ndarray:
 
 
 def _word_products(words, n: int) -> np.ndarray:
-    """The products, left to right, of k words whose letters ``_letter`` has
-    already checked (lists of (kind, parameter)), as one (k, 2n, 2n) stack.
+    """The products, left to right, of k words whose letters are in ``_letter``'s
+    output form (lists of (kind, parameter)), as one (k, 2n, 2n) stack.
 
     The words may differ in length, and an empty word gives I.  The letter
     matrices come from one ``_letter_matrices`` call; then letter p of every
@@ -248,6 +249,9 @@ class HeisenbergElement:
         m = lam.shape[0]
         if kappa.shape != (m, m):
             raise DomainError(f"kappa must be ({m}, {m})")
+        # checked before kappa + mu lam^T, which would turn inf into NaN with a warning
+        if not all(np.isfinite(x).all() for x in (lam, mu, kappa)):
+            raise DomainError("lam, mu and kappa must have finite entries")
         s = kappa + mu @ lam.T
         if np.max(np.abs(s - s.T), initial=0.0) > HEIS_TOL * max(1.0, np.max(np.abs(s), initial=0.0)):
             raise InvariantViolation("kappa + mu lam^T must be symmetric")
@@ -385,14 +389,18 @@ def _sl2_entries(mat) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class IwasawaCoords:
-    """(tau, theta) with M = translation(x) dilation(sqrt y) rotation(theta)."""
+    """(tau, theta) with M = translation(x) dilation(sqrt y) rotation(theta);
+    tau and theta must be finite and Im(tau) positive."""
 
     tau: complex
     theta: float
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
+        # not <=, so that a NaN Im(tau) fails too
+        if not self.tau.imag > 0:
             raise DomainError("Im(tau) must be positive")
+        if not (cmath.isfinite(self.tau) and math.isfinite(self.theta)):
+            raise DomainError(f"tau and theta must be finite, got {self.tau!r}, {self.theta!r}")
         object.__setattr__(self, "theta", float(self.theta) % (2 * math.pi))
 
 

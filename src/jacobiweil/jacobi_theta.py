@@ -25,7 +25,7 @@ from .weil import sw_heisenberg_apply, sw_iwasawa_apply, sw_rotation_apply
 
 @dataclass(frozen=True)
 class LatticePair:
-    """xi = (lam, mu), two real n-vectors."""
+    """xi = (lam, mu), two real n-vectors with finite entries."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -35,6 +35,8 @@ class LatticePair:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if lam.shape != mu.shape or lam.ndim != 1:
             raise DomainError("lam and mu must be equal-length vectors")
+        if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
+            raise DomainError("lam and mu must have finite entries")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import (SymplecticElement, _block, _letter, _sl2_entries, _word_products,
-                     symplectic_form)
+from .groups import SymplecticElement, _block, _sl2_entries, _word_products, symplectic_form
 from .linalg import _inertia
 
 ISO_TOL = 1e-10
@@ -134,10 +133,18 @@ def _bases(ls) -> np.ndarray:
     return np.stack([l.basis for l in ls])
 
 
+def _indices(triples) -> list[int]:
+    """The Maslov indices of a list of (x1, x2, x3) basis triples of one N,
+    from one ``_maslov_stack`` call, the package's one entry into that kernel;
+    no triples give no indices."""
+    if not triples:
+        return []
+    return _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
+
+
 def maslov3(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
-    """Triple Maslov index tau(l1, l2, l3): the one-triple case of ``_maslov_stack``."""
-    x = _bases((l1, l2, l3))
-    return int(_maslov_stack(x[0:1], x[1:2], x[2:3])[0])
+    """Triple Maslov index tau(l1, l2, l3): the one-triple case of ``_indices``."""
+    return _indices([tuple(_bases((l1, l2, l3)))])[0]
 
 
 def _chain_triples(xs) -> list:
@@ -148,12 +155,11 @@ def _chain_triples(xs) -> list:
 
 def maslov_chain(ls) -> int:
     """Telescoped index tau(l1,...,lk) = sum_j tau(l1, l_j, l_{j+1}), k >= 3,
-    with its k - 2 triples (``_chain_triples``) in one ``_maslov_stack`` call."""
+    with its k - 2 triples (``_chain_triples``) in one ``_indices`` call."""
     ls = list(ls)
     if len(ls) < 3:
         raise DomainError("chain needs at least three Lagrangians")
-    x1, x2, x3 = (np.array(xs) for xs in zip(*_chain_triples(_bases(ls))))
-    return int(_maslov_stack(x1, x2, x3).sum())
+    return sum(_indices(_chain_triples(_bases(ls))))
 
 
 def _tau_bases(basis: np.ndarray, g1: np.ndarray, g2: np.ndarray):
@@ -163,14 +169,13 @@ def _tau_bases(basis: np.ndarray, g1: np.ndarray, g2: np.ndarray):
 
 
 def tau_ell(l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> int:
-    """tau_l(g1, g2) = tau(l, g1 l, g1 g2 l).
+    """tau_l(g1, g2) = tau(l, g1 l, g1 g2 l), the one-triple case of ``_indices``.
 
     The images are plain bases (``_tau_bases``), not checked ``Lagrangian``s:
     the image of a checked Lagrangian under a checked symplectic element is
     Lagrangian up to rounding.
     """
-    x1, x2, x3 = (x[None] for x in _tau_bases(l.basis, g1.g, g2.g))
-    return int(_maslov_stack(x1, x2, x3)[0])
+    return _indices([_tau_bases(l.basis, g1.g, g2.g)])[0]
 
 
 def cocycle_clm(m: float, l: Lagrangian, g1: SymplecticElement, g2: SymplecticElement) -> complex:
@@ -198,29 +203,24 @@ def cocycle_sl2(m1, m2, n: int = 1) -> complex:
 
 def _draw_word(rng: np.random.Generator, n: int) -> list:
     """The letters of a random word of 1 to 4 t/g/sigma generators with
-    parameters at scale 0.6, each checked by ``_letter`` as it is drawn.
-
-    A g candidate alpha = I + 0.6 N(0, 1) is redrawn while |det alpha| < 0.3,
-    reading the determinant that ``_letter`` returns; a candidate that
-    ``_letter`` refuses (|det alpha| < 1e-12) is redrawn too, as the 0.3 rule
-    would redraw it, so the draws from ``rng`` do not depend on that check.
+    parameters at scale 0.6, built valid in ``_letter``'s output form, which
+    that check would return bit for bit: a t letter 0.5 (b + b^T) is exactly
+    symmetric, and a g candidate alpha = I + 0.6 N(0, 1), redrawn while
+    |det alpha| < 0.3 (``_letter`` refuses below 1e-12), is (alpha, det alpha).
     """
     word = []
     for _ in range(rng.integers(1, 5)):
         kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
             b = rng.normal(size=(n, n)) * 0.6
-            word.append(("t", _letter("t", 0.5 * (b + b.T), n)))
+            word.append(("t", 0.5 * (b + b.T)))
         elif kind == "g":
             while True:
                 al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
-                try:
-                    par = _letter("g", al, n)
-                except DomainError:
-                    continue
-                if abs(par[1]) >= 0.3:
+                det = np.linalg.det(al)
+                if abs(det) >= 0.3:
                     break
-            word.append(("g", par))
+            word.append(("g", (al, det)))
         else:
             word.append(("sigma", None))
     return word

@@ -20,7 +20,7 @@ from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _require_symplectic, _word_products)
 from .maass import casimir_km, sample_function
 from .maslov import (_chain_triples, _cocycle_phase, _coordinate_basis, _draw_word,
-                     _maslov_stack, _require_lagrangian, _tau_bases, cocycle_sl2)
+                     _indices, _require_lagrangian, _tau_bases, cocycle_sl2)
 from .theta import siegel_theta, theta_M, theta_weight_quarter
 from .weil import covariance_residual
 
@@ -162,14 +162,6 @@ def _axiom_terms(ls, chain, aux, g, g1, g2, g3, g12, g23):
     return triples, terms
 
 
-def _indices(triples) -> list[int]:
-    """The Maslov indices of a list of (x1, x2, x3) basis triples of one N,
-    from one ``_maslov_stack`` call; no triples give no indices."""
-    if not triples:
-        return []
-    return _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
-
-
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     """Lemma-style axioms for the triple/chain index, exact integer equality.
 
@@ -179,7 +171,7 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     checks every product together with g1 g2 and g2 g3, and one
     ``_require_lagrangian`` call checks the 6 or 7 images of the coordinate
     Lagrangian.  The indices of every triple its checks need then come from
-    one ``_maslov_stack`` call.
+    one ``maslov._indices`` call.
     """
     _require_cases(count)
     rng = np.random.default_rng(seed)
@@ -219,7 +211,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
     max(1, count // 5) triples of random words at n = 2.  One
     ``_require_symplectic`` call checks the pairs, and one the word products
     with g1 g2 and g2 g3; the Maslov indices of each dimension come from one
-    ``_maslov_stack`` call, and each becomes a ``cocycle_clm`` value by
+    ``maslov._indices`` call, and each becomes a ``cocycle_clm`` value by
     ``_cocycle_phase``.
     """
     _require_cases(count)

@@ -196,12 +196,10 @@ def siegel_theta(omega, tol: float) -> ThetaValue:
 
 
 def theta_weight_quarter(tau: complex, tol: float) -> complex:
-    """theta(tau) = y^{1/4} sum over n in Z of exp(2 pi i n^2 tau)."""
+    """theta(tau) = y^{1/4} sum over n in Z of exp(2 pi i n^2 tau), that is
+    y^{1/4} times ``siegel_theta`` at Omega = 2 tau."""
     tau = complex(tau)
-    # GaussianState checks Im(2 tau) > 0
-    state = GaussianState(1.0, np.array([[2 * tau]]), np.zeros((1, 1)))
-    inner = lattice_sum(state, np.eye(1), tol)
-    return tau.imag ** 0.25 * inner.value
+    return tau.imag ** 0.25 * siegel_theta(np.array([[2 * tau]]), tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +418,51 @@ def test_maslov_zero_rule_has_a_wide_margin(monkeypatch):
         nonzero = a > threshold
         assert (a[nonzero] > 100 * threshold[nonzero]).all()
         assert (a[~nonzero] < 0.01 * threshold[~nonzero]).all()
+
+
+# --- one way into the kernel, and letters drawn valid as built ------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_drawn_letters_are_in_letter_form(n):
+    # every letter _draw_word builds equals, bit for bit, what the outside-input
+    # check _letter returns for it, so that check would change nothing
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        for kind, par in (letter for _ in range(3) for letter in maslov_mod._draw_word(rng, n)):
+            if kind == "sigma":
+                assert par is None and _letter(kind, par, n) is None
+            elif kind == "t":
+                want = _letter(kind, par, n)
+                assert par.dtype == want.dtype and par.shape == want.shape == (n, n)
+                assert par.tobytes() == want.tobytes()
+            else:
+                (al, det), (al_want, det_want) = par, _letter(kind, par[0], n)
+                assert al.dtype == al_want.dtype and al.shape == al_want.shape == (n, n)
+                assert al.tobytes() == al_want.tobytes()
+                assert type(det) is type(det_want) and det.tobytes() == det_want.tobytes()
+                assert abs(det) >= 0.3
+
+
+def test_indices_of_no_triples():
+    assert maslov_mod._indices([]) == []
+
+
+def test_maslov_kernel_has_one_caller():
+    # in the package, only maslov._indices calls _maslov_stack, and maslov
+    # builds its letters without the outside-input check _letter
+    callers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "jacobiweil").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "_maslov_stack":
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                callers.append((path.stem, getattr(scope, "name", None)))
+    assert callers == [("maslov", "_indices")]
+    assert not hasattr(maslov_mod, "_letter")

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from jacobiweil import (AsymmetryError, DomainError, GaussianState, IwasawaCoords,
-                        Lagrangian, LatticePair, SiegelJacobiPoint, covariance_residual,
+from jacobiweil import (AsymmetryError, DomainError, GaussianState, HalfWeight,
+                        HeisenbergElement, IwasawaCoords, Lagrangian, LatticePair,
+                        SiegelJacobiPoint, covariance_residual,
                         embed_sl2, ground_state, heis_identity, holo_sqrt_det,
                         index_matrix, iwasawa_sl2, sl2_act_circle, sp_generator,
                         weil_apply_word, weil_generator_apply, word_to_symplectic)
@@ -129,6 +130,58 @@ def test_lagrangian_refuses_non_finite_entries(basis):
     with pytest.raises(DomainError) as info:
         Lagrangian(basis)
     assert str(info.value) == "Lagrangian basis must have finite entries"
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("tau, theta, message", [
+    # not <=: a NaN Im(tau) compares false with 0
+    (complex(0.3, math.nan), 0.4, "Im(tau) must be positive"),
+    (complex(0.3, -1.0), 0.4, "Im(tau) must be positive"),
+    (complex(0.3, math.inf), 0.4, "tau and theta must be finite"),
+    (complex(math.inf, 1.0), 0.4, "tau and theta must be finite"),
+    (complex(-math.inf, 1.0), 0.4, "tau and theta must be finite"),
+    (complex(math.nan, 1.0), 0.4, "tau and theta must be finite"),
+] + [(0.3 + 1.2j, theta, "tau and theta must be finite") for theta in NON_FINITE])
+def test_iwasawa_coords_refuse_bad_input(tau, theta, message):
+    with pytest.raises(DomainError) as info:
+        IwasawaCoords(tau, theta)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("part", ["lam", "mu", "kappa"])
+def test_heisenberg_element_refuses_non_finite_entries(part, bad):
+    # with a zero partner entry too, where mu lam^T would read 0 * inf
+    parts = {"lam": np.array([[0.5, 0.0]]), "mu": np.array([[0.0, -0.3]]),
+             "kappa": np.array([[0.2]])}
+    for entry in ((0, 0), (0, 1)) if part != "kappa" else ((0, 0),):
+        bent = dict(parts, **{part: parts[part].copy()})
+        bent[part][entry] = bad
+        with pytest.raises(DomainError) as info:
+            HeisenbergElement(**bent)
+        assert str(info.value) == "lam, mu and kappa must have finite entries"
+    HeisenbergElement(**parts)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_lattice_pair_refuses_non_finite_entries(bad):
+    for lam, mu in (([bad, 0.1], [0.2, 0.3]), ([0.1, 0.2], [0.3, bad]), (bad, 0.5)):
+        with pytest.raises(DomainError) as info:
+            LatticePair(lam, mu)
+        assert str(info.value) == "lam and mu must have finite entries"
+
+
+@pytest.mark.parametrize("k", [2.7, 3.0, True, False, "3", None, 0, -1, np.float64(2.0)])
+def test_half_weight_takes_integer_k_only(k):
+    # the rule of maass.multiplicity: an integer that is not a bool, here >= 1
+    with pytest.raises(DomainError) as info:
+        HalfWeight(k, np.eye(1))
+    assert str(info.value) == f"weight numerator k must be an integer >= 1, got {k!r}"
+    for good in (1, 3, np.int64(2)):
+        w = HalfWeight(good, np.eye(1))
+        assert w.k == good and type(w.k) is int
 
 
 def test_decode_real():
