@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement, sp_act)
+                     SymplecticElement, _one_point, sp_act)
 from .linalg import complex_sym, holo_sqrt_det, principal_pow_half
 from .states import index_matrix
 
@@ -36,7 +36,7 @@ def _index_exponents(mm, g: SymplecticElement, h: HeisenbergElement,
     e1 = tr(M W (CO+D)^{-1} C W^T) and
     e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T))."""
     lam, mu, kap = h.lam, h.mu, h.kappa
-    omega, z = p.omega, p.z
+    omega, z = _one_point(p).omega, p.z
     _, _, c, d = g.blocks
     w = z + lam @ omega + mu
     e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
@@ -293,11 +293,11 @@ def slash_km_nh(func, k: int, m: float, elt: JacobiElement):
 def kappa_density(m_index, p: SiegelJacobiPoint) -> float:
     """exp(-4 pi tr(V^T M V Y^{-1})) with V = Im Z, Y = Im Omega; in (0, 1]."""
     mm = index_matrix(m_index)
-    v = p.z.imag
+    v = _one_point(p).z.imag
     y = p.omega.imag
     return float(np.exp(-4 * np.pi * np.trace(v.T @ mm @ v @ np.linalg.inv(y))))
 
 
 def invariant_volume_density(p: SiegelJacobiPoint) -> float:
     """(det Im Omega)^{-(n+m+1)}, the invariant density in the (X,Y,U,V) chart."""
-    return float(np.linalg.det(p.omega.imag) ** -(p.n + p.m + 1))
+    return float(np.linalg.det(_one_point(p).omega.imag) ** -(p.n + p.m + 1))

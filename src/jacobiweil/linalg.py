@@ -31,16 +31,16 @@ def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
     Raises AsymmetryError, naming the first offending matrix's defect, when a
     defect max|a - a^T| exceeds ``defect_tol`` times that matrix's scale
     max(1, max|a|).  A NaN defect compares false and passes.  Each threshold
-    is at least ``defect_tol``, so when the largest defect of the whole stack
-    is at most that, one reduction decides, and the per-matrix defects and
-    scales are only reduced otherwise (a NaN included).  Matrices of size
-    0 x 0 have no entries to reduce, and their copy is returned.
+    is at least ``defect_tol``, so when no entry's defect exceeds that, one
+    count decides, and the per-matrix defects and scales are only reduced
+    otherwise.  Matrices of size 0 x 0 have no entries to reduce, and their
+    copy is returned.
     """
     if a.size == 0:
         return a.copy()
     t = a.swapaxes(-1, -2)
     d = abs(a - t)
-    if not d.max() <= defect_tol:
+    if np.count_nonzero(d > defect_tol):
         defect = d.max(axis=(-2, -1))
         over = defect > defect_tol * np.maximum(1.0, abs(a).max(axis=(-2, -1)))
         if over.any():

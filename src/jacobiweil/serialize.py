@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement)
+                     SymplecticElement, _one_point)
 from .states import GaussianState
 
 
@@ -102,7 +102,7 @@ def decode_jacobi(obj) -> JacobiElement:
 
 
 def encode_point(p: SiegelJacobiPoint):
-    return {"omega": encode_matrix(p.omega), "z": encode_matrix(p.z)}
+    return {"omega": encode_matrix(_one_point(p).omega), "z": encode_matrix(p.z)}
 
 
 def decode_point(obj) -> SiegelJacobiPoint:

@@ -8,13 +8,14 @@ which is what makes exact (quadrature-free) verification possible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .groups import SiegelJacobiPoint
+from .groups import SiegelJacobiPoint, _one_point
 from .linalg import _require_pd, complex_sym, real_sym
 
 
@@ -32,7 +33,9 @@ def _index_matrix(m) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class GaussianState:
     """``im_a_min`` is the least eigenvalue of Im A, kept from the constructor's
-    positive-definiteness check (NaN when c = 0, where Im A is not checked)."""
+    positive-definiteness check (NaN when c = 0, where Im A is not checked).
+    c, A and B must be finite; the check follows that of Im A, and
+    ``count_nonzero`` makes it one C call per array."""
 
     c: complex
     a: np.ndarray
@@ -44,10 +47,14 @@ class GaussianState:
         b = np.asarray(self.b, dtype=complex)
         if b.ndim != 2 or b.shape[1] != a.shape[0]:
             raise DomainError("B must be (m, n) with n matching A")
+        c = complex(self.c)
         im_a_min = math.nan
-        if complex(self.c) != 0:
+        if c != 0:
             im_a_min = _require_pd(a.imag, "Im(A) must be positive definite")
-        object.__setattr__(self, "c", complex(self.c))
+        if not (cmath.isfinite(c) and np.count_nonzero(np.isfinite(a))
+                + np.count_nonzero(np.isfinite(b)) == a.size + b.size):
+            raise DomainError("c, A and B must have finite entries")
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "im_a_min", im_a_min)
@@ -80,9 +87,9 @@ def evaluate(state: GaussianState, m_index, x):
 
 
 def covariant_map(m_index, p: SiegelJacobiPoint) -> GaussianState:
-    """The Gaussian attached to (Omega, Z): amplitude 1, A = Omega, B = Z."""
+    """The Gaussian attached to (Omega, Z), one point: amplitude 1, A = Omega, B = Z."""
     index_matrix(m_index)
-    return GaussianState(1.0, p.omega, p.z)
+    return GaussianState(1.0, _one_point(p).omega, p.z)
 
 
 def ground_state(n: int, m: int = 1) -> GaussianState:

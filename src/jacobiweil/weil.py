@@ -37,7 +37,8 @@ import numpy as np
 from .automorphy import J_star_M, MetaplecticElement, metaplectic_lifts
 from .errors import DomainError
 from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement, _letter, _word_products, jacobi_act)
+                     SymplecticElement, _letter, _one_point, _word_products,
+                     jacobi_act)
 from .linalg import holo_sqrt_det, principal_pow_half
 from .states import (GaussianState, covariant_map, evaluate, index_matrix,
                      sample_grid)
@@ -211,7 +212,7 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     Returns (residual, eps_used).
     """
     mm = index_matrix(m_index)
-    m, n = p.m, p.n
+    m, n = _one_point(p).m, p.n
     letters = [(kind, _letter(kind, par, n)) for kind, par in word]
     g = SymplecticElement(_word_products([letters], n)[0])
     f = covariant_map(mm, p)

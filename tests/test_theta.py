@@ -284,7 +284,7 @@ def test_roundoff_bound_covers_stress_case():
 
 def test_fourier_constant_function():
     p0 = SiegelJacobiPoint(np.array([[1j]]), np.array([[0j]]))
-    one = lambda omega, z: 1.0 + 0j
+    one = lambda omega, z: np.ones(len(omega), complex)
     assert fourier_coefficient(one, np.array([[0.0]]), np.array([[0.0]]), p0,
                                grid_points=8) == pytest.approx(1.0)
     assert abs(fourier_coefficient(one, np.array([[1.0]]), np.array([[0.0]]), p0,
@@ -396,7 +396,7 @@ def test_fourier_non_convergence_diagnostic():
     from jacobiweil.errors import ConvergenceError
 
     p0 = SiegelJacobiPoint(np.array([[1j]]), np.array([[0j]]))
-    drift = lambda omega, z: omega.real[0, 0] * 1.0
+    drift = lambda omega, z: omega.real[:, 0, 0] * 1.0
     with pytest.raises(ConvergenceError):
         fourier_coefficient(drift, np.array([[0.0]]), np.array([[0.0]]), p0,
                             grid_points=8)

@@ -173,6 +173,109 @@ def test_lattice_pair_refuses_non_finite_entries(bad):
         assert str(info.value) == "lam and mu must have finite entries"
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_point_and_state_refuse_non_finite_entries(bad):
+    good_omega, good_z = np.array([[0.3 + 0.9j]]), np.array([[0.1 + 0.2j]])
+    for z in ([[bad]], [[1j * bad]]):
+        with pytest.raises(DomainError) as info:
+            SiegelJacobiPoint(good_omega, z)
+        assert str(info.value) == "Omega and Z must have finite entries"
+    # symmetrizing a non-finite Re Omega spreads a NaN into Im Omega (0.5 is
+    # multiplied as 0.5 + 0j), so it fails the positive-definiteness test first
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        SiegelJacobiPoint([[bad + 0.9j]], good_z)
+    for c, b in ((bad, good_z), (1.0, [[bad]]), (complex(1.0, bad), good_z)):
+        with pytest.raises(DomainError) as info:
+            GaussianState(c, good_omega, b)
+        assert str(info.value) == "c, A and B must have finite entries"
+    # a zero state does not check Im A, but its entries must still be finite
+    with pytest.raises(DomainError):
+        GaussianState(0.0, good_omega, [[bad]])
+    SiegelJacobiPoint(good_omega, good_z)
+    GaussianState(1.0, good_omega, good_z)
+
+
+def _stack(k=4, n=2, m=1):
+    omega = np.array([(0.1 * i) * np.ones((n, n)) + 1j * np.eye(n) for i in range(k)])
+    return omega, np.full((k, m, n), 0.2 + 0.1j)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_stacked_point_names_the_first_bad_point(bad):
+    omega, z = _stack()
+    z[2, 0, 1] = bad
+    with pytest.raises(DomainError) as info:
+        SiegelJacobiPoint(omega, z)
+    assert str(info.value) == "point 2: Omega and Z must have finite entries"
+    omega, z = _stack()
+    omega[3] = -omega[3]
+    omega[1, 0, 0] = 0.5 + 1j * bad
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+        SiegelJacobiPoint(omega, z)
+    assert str(info.value).startswith("point 1: ")
+
+
+def test_stacked_point_validation():
+    omega, z = _stack(k=3, n=2, m=2)
+    p = SiegelJacobiPoint(omega, z)
+    assert (p.n, p.m) == (2, 2)
+    assert p.im_omega_min.shape == (3,)
+    for i in range(3):
+        one = SiegelJacobiPoint(omega[i], z[i])
+        assert p.im_omega_min[i] == one.im_omega_min
+        assert np.array_equal(p.omega[i], one.omega)
+    bent = omega.copy()
+    bent[1] = 1j * np.diag([1.0, -1.0])
+    with pytest.raises(DomainError) as info:
+        SiegelJacobiPoint(bent, z)
+    assert str(info.value) == "point 1: Im(Omega) must be positive definite"
+    bent = omega.copy()
+    bent[2, 0, 1] += 1.0
+    with pytest.raises(AsymmetryError) as info:
+        SiegelJacobiPoint(bent, z)
+    assert str(info.value) == "point 2: asymmetry defect 1.000e+00 exceeds 1.0e-08"
+    for zz in (z[:2], z[..., :1], z[0], np.zeros((3, 2))):
+        with pytest.raises(DomainError):
+            SiegelJacobiPoint(omega, zz)
+    with pytest.raises(DomainError, match="expected a square matrix"):
+        SiegelJacobiPoint(np.ones((2, 3, 2, 2)), np.ones((2, 3, 1, 2)))
+
+
+def _single_point_calls():
+    from jacobiweil import (J_M, J_kM_half, J_star_M, covariant_map, fourier_coefficient,
+                            invariant_volume_density, jacobi_act, jacobi_identity,
+                            kappa_density, metaplectic_lifts)
+    from jacobiweil.serialize import encode_point
+
+    n, m, mm = 2, 1, np.eye(1)
+    elt = jacobi_identity(n, m)
+    lift = metaplectic_lifts(elt.g)[0]
+    h = heis_identity(m, n)
+    return {
+        "jacobi_act": lambda p: jacobi_act(elt, p),
+        "J_M": lambda p: J_M(mm, elt, p),
+        "J_kM_half": lambda p: J_kM_half(HalfWeight(1, mm), lift, h, p),
+        "J_star_M": lambda p: J_star_M(mm, lift, h, p),
+        "kappa_density": lambda p: kappa_density(mm, p),
+        "invariant_volume_density": lambda p: invariant_volume_density(p),
+        "covariant_map": lambda p: covariant_map(mm, p),
+        "encode_point": lambda p: encode_point(p),
+        "covariance_residual": lambda p: covariance_residual(mm, [("sigma", None)], h, p),
+        "fourier_coefficient": lambda p: fourier_coefficient(
+            lambda o, z: np.ones(len(o), complex), np.zeros((n, n)), np.zeros((n, m)), p, 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_single_point_calls()))
+def test_functions_of_one_point_refuse_a_stack(name):
+    call = _single_point_calls()[name]
+    omega, z = _stack(k=2)
+    with pytest.raises(DomainError) as info:
+        call(SiegelJacobiPoint(omega, z))
+    assert str(info.value) == "expected one point, got a stack of 2"
+    call(SiegelJacobiPoint(omega[1], z[1]))
+
+
 @pytest.mark.parametrize("k", [2.7, 3.0, True, False, "3", None, 0, -1, np.float64(2.0)])
 def test_half_weight_takes_integer_k_only(k):
     # the rule of maass.multiplicity: an integer that is not a bool, here >= 1
