@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AsymmetryError, DomainError, InvariantViolation
-from .linalg import PD_TOL, SYM_DEFECT_TOL, _eigvalsh, _sym, complex_sym, real_sym
+from .errors import DomainError, InvariantViolation
+from .linalg import _require_siegel_pair, complex_sym, real_sym
 
 SP_TOL = 1e-10
 HEIS_TOL = 1e-10
@@ -335,12 +335,12 @@ class SiegelJacobiPoint:
     Omega of shape (k, n, n) and Z of shape (k, m, n).  ``n`` and ``m`` come
     from the trailing axes.
 
-    A stack is validated in one pass, with one ``_sym`` and one ``eigvalsh``
-    over all its points, and an error names the first bad point (counted from
-    0).  Omega and Z must have finite entries.  ``im_omega_min`` is the least
-    eigenvalue of Im Omega (an array of k for a stack), kept from the
-    positive-definiteness check.  ``theta_M`` accepts a stack; functions of
-    one point refuse it (``_one_point``).
+    Omega and Z must have finite entries.  A stack is checked in one pass
+    (``linalg._require_siegel_pair``, the check of a state's A and B too),
+    and an error names its first bad point, counted from 0.  ``im_omega_min``
+    is the least eigenvalue of Im Omega (an array of k for a stack), kept
+    from that check.  ``theta_M`` accepts a stack; functions of one point
+    refuse it (``_one_point``).
     """
 
     omega: np.ndarray
@@ -354,22 +354,10 @@ class SiegelJacobiPoint:
             raise DomainError(f"expected a square matrix, got shape {omega.shape}")
         if z.ndim != omega.ndim or z.shape[:-2] != omega.shape[:-2] or z.shape[-1] != omega.shape[-1]:
             raise DomainError("Z must be an (m, n) matrix matching Omega")
-        try:
-            omega = _sym(omega, SYM_DEFECT_TOL)
-        except AsymmetryError as exc:
-            if omega.ndim == 2:
-                raise
-            # only on failure: find the point that the stack's message does not name
-            for i, one in enumerate(omega):
-                try:
-                    _sym(one, SYM_DEFECT_TOL)
-                except AsymmetryError:
-                    raise AsymmetryError(f"point {i}: {exc}") from None
-        w = _eigvalsh(omega.imag)
-        _require_points(w, np.isfinite(omega), np.isfinite(z))
+        omega, lam = _require_siegel_pair(omega, z, "Omega", "Omega and Z")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "im_omega_min", w[:, 0] if w.ndim == 2 else float(w[0]))
+        object.__setattr__(self, "im_omega_min", lam)
 
     @property
     def n(self) -> int:
@@ -378,27 +366,6 @@ class SiegelJacobiPoint:
     @property
     def m(self) -> int:
         return self.z.shape[-2]
-
-
-def _require_points(w: np.ndarray, finite_omega: np.ndarray, finite_z: np.ndarray) -> None:
-    """DomainError unless each point has Im Omega positive definite (every
-    eigenvalue in ``w`` above PD_TOL) and finite entries (the entrywise flags
-    of Omega and Z).  For a stack the message names the first point that
-    fails a test, and a point that fails both reports the first.  The
-    eigenvalues of a non-finite Omega mean nothing, but such a point fails
-    the second test whatever they are.
-
-    ``count_nonzero`` decides the common case with one C call per array,
-    where ``all`` would cost a ufunc reduction each."""
-    if (not np.count_nonzero(w <= PD_TOL) and np.count_nonzero(finite_omega)
-            + np.count_nonzero(finite_z) == finite_omega.size + finite_z.size):
-        return
-    pd = w.min(axis=-1) > PD_TOL
-    ok = pd & finite_omega.all(axis=(-2, -1)) & finite_z.all(axis=(-2, -1))
-    first = np.argmin(ok) if ok.ndim else ()
-    message = ("Im(Omega) must be positive definite" if not pd[first]
-               else "Omega and Z must have finite entries")
-    raise DomainError(f"point {first}: {message}" if ok.ndim else message)
 
 
 def _one_point(p: SiegelJacobiPoint) -> SiegelJacobiPoint:

@@ -6,7 +6,8 @@ which SL(2, R) acts linearly by the embedded matrix on the stacked vector;
 these correspond to the Heisenberg row convention through the twist
 (lam, mu) -> (-mu, lam; t) (see tests: all three lattice-group generators
 leave Theta_f conj(Theta_g) invariant in these coordinates, none do without
-the twist).
+the twist).  ``theta_state`` checks M once and applies its operators as one
+letter list through ``weil._apply_letters``, which checks the result once.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import HeisenbergElement, IwasawaCoords, _sl2_entries, sl2_act_circle
-from .states import GaussianState
+from .states import GaussianState, index_matrix
 from .theta import ThetaValue, lattice_sum
-from .weil import sw_heisenberg_apply, sw_iwasawa_apply, sw_rotation_apply
+from .weil import SW_SCALE, _apply_letters, _iwasawa_letters, sw_rotation_apply
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,12 @@ def sl2_on_xi(mat, xi: LatticePair) -> LatticePair:
 def theta_state(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
                 t: float = 0.0) -> GaussianState:
     """The Gaussian state W((xi; t)) R~(tau, theta) f whose lattice sum is Theta_f,
-    at the reduced angle theta in [0, 2 pi) stored in ``coords``."""
+    at the reduced angle theta in [0, 2 pi) stored in ``coords``: M = 1 is
+    checked once, and W's letter with ``weil._iwasawa_letters`` is one list."""
     if f.shape != (1, xi.n):
         raise DomainError("state shape must be (1, n) matching xi")
-    one = np.eye(1)
-    st = sw_iwasawa_apply(one, coords, f)
-    return sw_heisenberg_apply(one, xi_to_heisenberg(xi, t), st)
+    h = ("heis", (xi_to_heisenberg(xi, t), SW_SCALE))
+    return _apply_letters(index_matrix(np.eye(1)), [h] + _iwasawa_letters(coords, xi.n), f)
 
 
 def theta_sum_f(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,

@@ -135,12 +135,56 @@ def _min_eigenvalue(y: np.ndarray) -> float:
 
 
 def _require_pd(y: np.ndarray, message: str) -> float:
-    """The least eigenvalue of ``y``, already symmetric (the constructors pass the
-    matrix they just symmetrized); unless it exceeds PD_TOL, DomainError(message)."""
+    """The least eigenvalue of ``y``, already symmetric; DomainError(message)
+    unless it exceeds PD_TOL."""
     lam = _min_eigenvalue(y)
     if not lam > PD_TOL:
         raise DomainError(message)
     return lam
+
+
+def _require_siegel_pair(a: np.ndarray, b: np.ndarray, matrix: str, entries: str,
+                         pd: bool = True):
+    """The one check of a Siegel pair, a point (Omega, Z) or a state's (A, B):
+    ``_sym(a)`` and the least eigenvalue of its imaginary part, for one
+    complex a (n, n) with b, or each of a stack (k, n, n) with b (k, m, n).
+
+    DomainError unless Im a is positive definite (every eigenvalue above
+    PD_TOL; skipped when pd is False, and the eigenvalue is then NaN) and a
+    and b have finite entries, in that order: "Im(<matrix>) must be positive
+    definite", else "<entries> must have finite entries", prefixed
+    "point i: " for the first bad matrix of a stack, as an asymmetry is.
+    ``_sym`` turns an inf in Re a into a NaN in Im a (0.5 + 0j times inf), so
+    the message reads Im a off the input.
+    """
+    try:
+        sym = _sym(a, SYM_DEFECT_TOL)
+    except AsymmetryError as exc:
+        if a.ndim == 2:
+            raise
+        # only on failure: find the matrix that the stack's message does not name
+        for i, one in enumerate(a):
+            try:
+                _sym(one, SYM_DEFECT_TOL)
+            except AsymmetryError:
+                raise AsymmetryError(f"point {i}: {exc}") from None
+    lam, bad = math.nan, False
+    if pd:
+        # eigvalsh sorts finite eigenvalues: the first of each row is the least
+        w = _eigvalsh(sym.imag)
+        lam = w[:, 0] if w.ndim == 2 else float(w[0])
+        bad = np.count_nonzero(lam <= PD_TOL) if w.ndim == 2 else not lam > PD_TOL
+    finite_a, finite_b = np.isfinite(sym), np.isfinite(b)
+    if not bad and (np.count_nonzero(finite_a) + np.count_nonzero(finite_b)
+                    == finite_a.size + finite_b.size):
+        return sym, lam
+    ok = finite_a.all(axis=(-2, -1)) & finite_b.all(axis=(-2, -1))
+    im = a.imag
+    pos = _eigvalsh(0.5 * (im + im.swapaxes(-1, -2))).min(axis=-1) > PD_TOL if pd else ok | True
+    first = np.argmin(pos & ok) if ok.ndim else ()
+    message = (f"Im({matrix}) must be positive definite" if not pos[first]
+               else f"{entries} must have finite entries")
+    raise DomainError(f"point {first}: {message}" if ok.ndim else message)
 
 
 def is_positive_definite(y) -> bool:

@@ -9,14 +9,13 @@ which is what makes exact (quadrature-free) verification possible.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .groups import SiegelJacobiPoint, _one_point
-from .linalg import _require_pd, complex_sym, real_sym
+from .linalg import _require_pd, _require_siegel_pair, _square, real_sym
 
 
 def index_matrix(m) -> np.ndarray:
@@ -34,8 +33,9 @@ def _index_matrix(m) -> tuple[np.ndarray, float]:
 class GaussianState:
     """``im_a_min`` is the least eigenvalue of Im A, kept from the constructor's
     positive-definiteness check (NaN when c = 0, where Im A is not checked).
-    c, A and B must be finite; the check follows that of Im A, and
-    ``count_nonzero`` makes it one C call per array."""
+    c, A and B must be finite.  A and B are checked by
+    ``linalg._require_siegel_pair``, the check of a point (Omega, Z), and c
+    after them."""
 
     c: complex
     a: np.ndarray
@@ -43,16 +43,13 @@ class GaussianState:
     im_a_min: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = complex_sym(self.a)
+        a = _square(self.a, complex)
         b = np.asarray(self.b, dtype=complex)
         if b.ndim != 2 or b.shape[1] != a.shape[0]:
             raise DomainError("B must be (m, n) with n matching A")
         c = complex(self.c)
-        im_a_min = math.nan
-        if c != 0:
-            im_a_min = _require_pd(a.imag, "Im(A) must be positive definite")
-        if not (cmath.isfinite(c) and np.count_nonzero(np.isfinite(a))
-                + np.count_nonzero(np.isfinite(b)) == a.size + b.size):
+        a, im_a_min = _require_siegel_pair(a, b, "A", "c, A and B", pd=c != 0)
+        if not cmath.isfinite(c):
             raise DomainError("c, A and B must have finite entries")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)

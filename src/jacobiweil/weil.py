@@ -7,8 +7,7 @@ The module realizes three layers:
   e^{2 pi i} normalization; SW_SCALE = 0.5 is the normalization under which
   the covariant map transforms by the J* factor).
 * the three Weil generator operators t(b), g(alpha), sigma_n, frozen at the
-  calibrated SW normalization (see ``test_calibration_regression``), applied
-  by one letter loop: a word's M and letters are checked once, then applied;
+  calibrated SW normalization (see ``test_calibration_regression``);
 * the Iwasawa operators: the ground-state-pinned rotation flow
   R~(i, theta) and the full R~(tau, theta), which is what the theta-sum
   machinery uses.  The rotation is applied in closed form, with
@@ -19,6 +18,10 @@ The module realizes three layers:
   exp(-i m n theta / 2) and gives R~(theta + 2 pi) = (-1)^{mn} R~(theta)
   (see ``sw_rotation_apply``).  ``rotation_word`` is the same rotation as a
   t/g/sigma generator word, the reference the closed form is tested against.
+
+Every operator acts through one letter loop, ``_apply_letters``: each public
+operator call checks M and its letters once, the loop applies them, and the
+state it returns is checked once, not each intermediate state.
 
 Calibration note: the e^{2 pi i} Heisenberg/t(b) exponents and the
 e^{-4 pi i} sigma kernel are mutually consistent as a projective package,
@@ -39,7 +42,7 @@ from .errors import DomainError
 from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _letter, _one_point, _word_products,
                      jacobi_act)
-from .linalg import holo_sqrt_det, principal_pow_half
+from .linalg import SYM_DEFECT_TOL, _sym, holo_sqrt_det, principal_pow_half
 from .states import (GaussianState, covariant_map, evaluate, index_matrix,
                      sample_grid)
 
@@ -55,15 +58,10 @@ def schrodinger_apply(m_index, h: HeisenbergElement, f: GaussianState,
                       scale: float = 1.0) -> GaussianState:
     """Apply the Heisenberg operator
     f(x) -> exp(2 pi i * scale * tr(M(kappa + mu lam^T + 2 x mu^T))) f(x + lam)
-    and re-express the result in closed form (A is untouched).
+    and re-express the result in closed form (A is untouched), as the loop's
+    one letter: M and h are checked once, and the state returned once.
     """
-    mm = index_matrix(m_index)
-    if h.shape != f.shape:
-        raise DomainError("dimension mismatch")
-    lam, mu, kap = h.lam, h.mu, h.kappa
-    shift_phase = np.exp(1j * np.pi * np.trace(mm @ (lam @ f.a @ lam.T + 2 * lam @ f.b.T)))
-    central = np.exp(2j * np.pi * scale * np.trace(mm @ (kap + mu @ lam.T)))
-    return GaussianState(f.c * central * shift_phase, f.a, f.b + lam @ f.a + 2 * scale * mu)
+    return _apply_letters(index_matrix(m_index), [("heis", (h, scale))], f)
 
 
 def sw_heisenberg_apply(m_index, h: HeisenbergElement, f: GaussianState) -> GaussianState:
@@ -82,7 +80,7 @@ def weil_apply_word(m_index, word, f: GaussianState) -> GaussianState:
 
     The word must be nonempty.  M and every letter are checked once, the letters
     left to right by ``groups._letter`` with n the width of f, before
-    ``_apply_letters`` applies any operator."""
+    ``_apply_letters`` applies any operator and checks the state it returns."""
     if not word:
         raise DomainError("word must be nonempty")
     mm = index_matrix(m_index)
@@ -91,31 +89,68 @@ def weil_apply_word(m_index, word, f: GaussianState) -> GaussianState:
 
 
 def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
-    """Apply letters (kind, parameter) already checked by ``groups._letter``, with M
-    already checked, to f, rightmost first; no letters leave f as it is.
+    """Apply letters (kind, parameter), rightmost first, to f, with M already
+    checked: the one loop of every operator in this package.  t/g/sigma
+    parameters are in ``groups._letter``'s output form; the private kinds
+    ("rot", theta) of ``sw_rotation_apply`` and ("heis", (h, scale)) of
+    ``schrodinger_apply`` (h of f's shape) are built only in this package.
 
     * t(b): multiply by exp(2 pi i T_SCALE tr(M x b x^T)); A += 2 T_SCALE b.
     * g(alpha): (det alpha)^{m/2} f(x alpha^T); principal half-power branch.
     * sigma: the M-twisted Fourier kernel
-      (1/i)^{mn/2} (det M)^{n/2} \\int f(y) exp(-2 pi i tr(M y x^T)) dy,
-      evaluated in closed form; the square-root prefactor is
-      holo_sqrt_det(-i (M kron A))^{-1}, whose argument has positive
-      definite real part M kron Im A.  It leaves the zero state as it is.
+      (1/i)^{mn/2} (det M)^{n/2} \\int f(y) exp(-2 pi i tr(M y x^T)) dy, in
+      closed form; the prefactor holo_sqrt_det(-i (M kron A))^{-1} has an
+      argument with positive definite real part M kron Im A.  A non-finite A
+      is refused first.  sigma and rot leave the zero state as it is; rot
+      reads its branch off Im A > 0, so it acts first, on the checked f.
+
+    (c, A, B) are carried as arrays in the form each intermediate
+    ``GaussianState`` gave them (so an asymmetry raises at the letter that
+    made it); only the returned state is checked.  With no letter applied,
+    f is returned.
     """
     m, n = f.shape
+    c, a, b = f.c, f.a, f.b
+    raw = False
     for kind, par in reversed(letters):
+        if c == 0 and kind in ("sigma", "rot"):
+            continue
+        if raw:
+            c, a, b = complex(c), _sym(a, SYM_DEFECT_TOL), np.asarray(b, dtype=complex)
+        raw = True
         if kind == "t":
-            f = GaussianState(f.c, f.a + 2 * T_SCALE * par, f.b)
+            a = a + 2 * T_SCALE * par
         elif kind == "g":
             al, det = par
-            f = GaussianState(f.c * principal_pow_half(det, m), al.T @ f.a @ al, f.b @ al)
-        elif f.c != 0:
-            a_inv = np.linalg.inv(f.a)
+            c, a, b = c * principal_pow_half(det, m), al.T @ a @ al, b @ al
+        elif kind == "sigma":
+            if not np.isfinite(a).all():
+                raise DomainError("c, A and B must have finite entries")
+            a_inv = np.linalg.inv(a)
             pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
-            root = holo_sqrt_det(-1j * np.kron(mm, f.a))
-            gauss = np.exp(-1j * np.pi * np.trace(mm @ f.b @ a_inv @ f.b.T))
-            f = GaussianState(f.c * pref / root * gauss, -a_inv, f.b @ a_inv)
-    return f
+            root = holo_sqrt_det(-1j * np.kron(mm, a))
+            gauss = np.exp(-1j * np.pi * np.trace(mm @ b @ a_inv @ b.T))
+            c, a, b = c * pref / root * gauss, -a_inv, b @ a_inv
+        elif kind == "rot":
+            cos, sin = math.cos(par), math.sin(par)
+            d_inv = np.linalg.inv(cos * np.eye(n) + sin * a)
+            k = math.floor(par / math.pi)
+            th = par - k * math.pi
+            phi = math.cos(th) + math.sin(th) * np.linalg.eigvals(a)
+            arg = sum(k * math.pi + math.atan2(max(p.imag, 0.0), p.real) for p in phi)
+            log_det = np.log(np.abs(phi)).sum() + 1j * arg
+            b2 = b @ d_inv
+            c = c * np.exp(-m / 2 * log_det - 1j * np.pi * sin * np.trace(mm @ b2 @ b.T))
+            a, b = (cos * a - sin * np.eye(n)) @ d_inv, b2
+        else:
+            h, scale = par
+            if h.shape != (m, n):
+                raise DomainError("dimension mismatch")
+            lam, mu, kap = h.lam, h.mu, h.kappa
+            shift_phase = np.exp(1j * np.pi * np.trace(mm @ (lam @ a @ lam.T + 2 * lam @ b.T)))
+            central = np.exp(2j * np.pi * scale * np.trace(mm @ (kap + mu @ lam.T)))
+            c, b = c * central * shift_phase, b + lam @ a + 2 * scale * mu
+    return GaussianState(c, a, b) if raw else f
 
 
 # ---------------------------------------------------------------------------
@@ -162,36 +197,34 @@ def sw_rotation_apply(m_index, theta: float, f: GaussianState) -> GaussianState:
     (the oscillator ground level), and unreduced theta keeps the double-cover
     behaviour R~(i, theta + 2 pi) = (-1)^{mn} R~(i, theta).  This is the
     generator word ``rotation_word`` pinned on the ground state, without
-    applying the word.
+    applying the word.  M is checked once, and the loop applies the
+    rotation as its one letter and checks the state it returns.
     """
-    mm = index_matrix(m_index)
-    if f.c == 0:
-        return f
-    m, n = f.shape
-    cos, sin = math.cos(theta), math.sin(theta)
-    d_inv = np.linalg.inv(cos * np.eye(n) + sin * f.a)
-    k = math.floor(theta / math.pi)
-    th = theta - k * math.pi
-    phi = math.cos(th) + math.sin(th) * np.linalg.eigvals(f.a)
-    arg = sum(k * math.pi + math.atan2(max(p.imag, 0.0), p.real) for p in phi)
-    log_det = np.log(np.abs(phi)).sum() + 1j * arg
-    b2 = f.b @ d_inv
-    c2 = f.c * np.exp(-m / 2 * log_det - 1j * np.pi * sin * np.trace(mm @ b2 @ f.b.T))
-    return GaussianState(c2, (cos * f.a - sin * np.eye(n)) @ d_inv, b2)
+    return _apply_letters(index_matrix(m_index), [("rot", theta)], f)
 
 
 def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState) -> GaussianState:
     """R~(tau, theta) = U(t(x I)) U(g(sqrt(y) I)) R~(i, theta).
 
-    After the rotation, t(x I) g(sqrt(y) I) is applied as one two-letter word
-    by ``weil_apply_word``.  theta is the angle stored in ``coords``, reduced
-    to [0, 2 pi); a caller that needs the unreduced (double cover) angle
-    applies ``sw_rotation_apply`` at that angle itself.
+    M is checked once, and the loop applies the letters of
+    ``_iwasawa_letters`` as one list, checking only the state it returns.
+    theta is the angle stored in ``coords``, reduced to [0, 2 pi); a caller
+    that needs the unreduced (double cover) angle applies
+    ``sw_rotation_apply`` at that angle itself.
     """
-    n = f.shape[1]
-    x, y = coords.tau.real, coords.tau.imag
-    out = sw_rotation_apply(m_index, coords.theta, f)
-    return weil_apply_word(m_index, [("t", x * np.eye(n)), ("g", math.sqrt(y) * np.eye(n))], out)
+    return _apply_letters(index_matrix(m_index), _iwasawa_letters(coords, f.shape[1]), f)
+
+
+def _iwasawa_letters(coords: IwasawaCoords, n: int) -> list:
+    """The letters t(x I), g(sqrt(y) I), R~(i, theta) of R~(tau, theta), built in
+    ``_letter``'s output form, which that check would return bit for bit: x I
+    is exactly symmetric, and sqrt(y) I is (alpha, det alpha), refused as
+    ``_letter`` refuses it when y^{n/2} < 1e-12."""
+    al = math.sqrt(coords.tau.imag) * np.eye(n)
+    det = np.linalg.det(al)
+    if det < 1e-12:
+        raise DomainError("alpha must be invertible")
+    return [("t", coords.tau.real * np.eye(n)), ("g", (al, det)), ("rot", coords.theta)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +237,8 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
 
     The element is (word product, h) with a metaplectic branch.  M and each
     letter are checked once, before any operator runs, and the checked letters
-    give both g (``groups._word_products``) and its operator (``_apply_letters``).
+    give both g (``groups._word_products``) and, after h, one letter list
+    for ``_apply_letters``, which checks the state it returns once.
     ``"auto"`` takes the better of the lifts (g, +-eps0) of ``metaplectic_lifts``,
     +eps0 on a tie: J* holds eps^{-m}, so (g, -eps0) has (-1)^m times the J* of
     (g, eps0), and J* is evaluated once.
@@ -216,7 +250,7 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     letters = [(kind, _letter(kind, par, n)) for kind, par in word]
     g = SymplecticElement(_word_products([letters], n)[0])
     f = covariant_map(mm, p)
-    st = _apply_letters(mm, letters, sw_heisenberg_apply(mm, h, f))
+    st = _apply_letters(mm, letters + [("heis", (h, SW_SCALE))], f)
     target = covariant_map(mm, jacobi_act(JacobiElement(g, h), p))
     grid = sample_grid(m, n)
     # each state once over the whole grid; the two lifts differ only in js

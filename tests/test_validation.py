@@ -181,13 +181,24 @@ def test_point_and_state_refuse_non_finite_entries(bad):
             SiegelJacobiPoint(good_omega, z)
         assert str(info.value) == "Omega and Z must have finite entries"
     # symmetrizing a non-finite Re Omega spreads a NaN into Im Omega (0.5 is
-    # multiplied as 0.5 + 0j), so it fails the positive-definiteness test first
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+    # multiplied as 0.5 + 0j); the check reads Im Omega off the input, so the
+    # point is refused for its entries, and a NaN in Im Omega for Im Omega
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
         SiegelJacobiPoint([[bad + 0.9j]], good_z)
+    assert str(info.value) == "Omega and Z must have finite entries"
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+        SiegelJacobiPoint([[complex(0.3, math.nan)]], good_z)
+    assert str(info.value) == "Im(Omega) must be positive definite"
     for c, b in ((bad, good_z), (1.0, [[bad]]), (complex(1.0, bad), good_z)):
         with pytest.raises(DomainError) as info:
             GaussianState(c, good_omega, b)
         assert str(info.value) == "c, A and B must have finite entries"
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+        GaussianState(1.0, [[bad + 0.9j]], good_z)
+    assert str(info.value) == "c, A and B must have finite entries"
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError) as info:
+        GaussianState(1.0, [[complex(0.3, math.nan)]], good_z)
+    assert str(info.value) == "Im(A) must be positive definite"
     # a zero state does not check Im A, but its entries must still be finite
     with pytest.raises(DomainError):
         GaussianState(0.0, good_omega, [[bad]])
