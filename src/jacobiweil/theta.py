@@ -157,7 +157,8 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
     state, from that state's own sum of |t_k|.  Returns (values, radius, tail
     bounds, terms, roundoff bounds), in the order of ``Truncation``'s fields,
     the values and the bounds with the leading axes.  Zero states (c = 0,
-    whose A is not checked) sum nothing, and they come one at a time.
+    whose A is not checked) may stand anywhere: no term of theirs is evaluated,
+    each gets value 0 and bounds 0, and the rest the results of a stack without them.
     """
     mm, m_min = _index_matrix(m_index)
     if not tol > 0:
@@ -165,6 +166,10 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
     m, n = b.shape[-2:]
     if mm.shape[0] != m:
         raise DomainError(f"index matrix must be {m} x {m} for a state of shape {(m, n)}")
+    shape, nonzero = c.shape, c.all()
+    if not nonzero:
+        live = c != 0
+        c, a, b, im_a_min = c[live], a[live], b[live], im_a_min[live]
     lead, dim = b.shape[:-2], m * n
     # |<xi, M Im B>| <= ||M Im B||_F ||xi||_F and ||xi||_F <= sqrt(dim) ||xi||_inf;
     # vecdot takes each norm as the one dot product np.linalg.norm takes
@@ -180,7 +185,7 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
     for t in tails:
         radius = max(radius, _least_radius(tol, dim, *t))
     if radius == 0:
-        zero = np.zeros(lead)
+        zero = np.zeros(shape)
         return zero + 0j, 0, zero, 0, zero
     for t in tails:
         tails[t] = t[0] * _tail_majorant(radius, dim, t[1], t[2])
@@ -212,7 +217,11 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
         mass = mass + np.vecdot(np.abs(vals), 1 + zeta + terms)
 
     roundoff = (dim + (m + 8) / 2) * _EPS * mass
-    return total, radius, tail, terms, roundoff
+    if nonzero:
+        return total, radius, tail, terms, roundoff
+    out = np.zeros((3,) + shape, complex)
+    out[:, live] = total, tail, roundoff
+    return out[0], radius, out[1].real, terms, out[2].real
 
 
 def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:

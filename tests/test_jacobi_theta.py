@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacobiweil import (GaussianState, IwasawaCoords, LatticePair,
+from jacobiweil import (DomainError, GaussianState, IwasawaCoords, LatticePair,
                         asymptotic_main_term, check_gamma_invariance,
-                        gamma_n_generators, ground_state, rotation_word,
-                        state_distance, sw_rotation_apply, theta_sum_f,
+                        gamma_n_generators, ground_state, lattice_sum, rotation_word,
+                        state_distance, sw_rotation_apply, theta_state, theta_sum_f,
                         weil_apply_word)
 from jacobiweil import weil
+from jacobiweil.jacobi_theta import gamma_transform
+from jacobiweil.theta import _lattice_sums
 
 SIEGEL_AT_I = 1.0864348112133082
 
@@ -252,3 +256,125 @@ def test_rotation_matches_explicit_kernel_with_staircase_phase():
             lhs = evaluate(out, one, np.array([[x]]))
             rhs = pref * _plain_rotation_quadrature(theta, f, x)
             assert abs(lhs - rhs) < 1e-8
+
+
+# The stacked sums of check_gamma_invariance and asymptotic_main_term against
+# the one-state sums they replace.  A value v with error bound e (tail bound +
+# roundoff bound) makes the product bound |a| e_b + |b| e_a + e_a e_b; two
+# evaluations of one product agree within the sum of their bounds.
+
+
+def _stack(states, tol):
+    """The values and error bounds of states summed as one stack at M = 1."""
+    value, _, tail, _, roundoff = _lattice_sums(
+        np.array([s.c for s in states]), np.array([s.a for s in states]),
+        np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
+        np.eye(1), tol)
+    return value, tail + roundoff
+
+
+def _one(state, tol):
+    tv = lattice_sum(state, np.eye(1), tol)
+    return tv.value, tv.truncation.tail_bound + tv.truncation.roundoff_bound
+
+
+def _product_bound(a, ea, b, eb):
+    return abs(a) * eb + abs(b) * ea + ea * eb
+
+
+# the final products and differences round too: a few ulps of the values
+_ULPS = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(0, 3))
+def test_stacked_invariance_check_agrees_with_one_state_sums(seed, n, pick):
+    rng = np.random.default_rng(seed)
+    f, g = rand_schwartz_state(rng, n), rand_schwartz_state(rng, n)
+    _, mat, xi0 = gamma_n_generators(n)[pick % (2 + 2 * n)]
+    coords, xi = rand_sample(rng, n)
+    coords2, xi2 = gamma_transform(mat, xi0, coords, xi)
+    tol = 1e-12
+    states = [theta_state(h, c, x) for c, x in ((coords, xi), (coords2, xi2)) for h in (f, g)]
+    # the reference: four one-state sums, as theta_sum_f takes them
+    ref = [_one(s, tol) for s in states]
+    values, errors = _stack(states, tol)
+    new = list(zip(values, errors))
+    got = check_gamma_invariance(f, g, (mat, xi0), coords, xi, tol)
+    assert got == abs(values[0] * np.conj(values[1]) - values[2] * np.conj(values[3]))
+    want = abs(ref[0][0] * np.conj(ref[1][0]) - ref[2][0] * np.conj(ref[3][0]))
+    bound = sum(_product_bound(*side[i], *side[i + 1]) for side in (ref, new) for i in (0, 2))
+    bound += _ULPS * sum(abs(v) for v, _ in ref)
+    assert abs(got - want) <= bound, (got, want, bound)
+
+
+def _main_term_product(f, g, coords, xi):
+    """The main term's Gaussian, built as asymptotic_main_term builds it, from
+    the public rotation operator."""
+    one = np.eye(1)
+    y = coords.tau.imag
+    f_th = sw_rotation_apply(one, coords.theta, f)
+    g_th = sw_rotation_apply(one, coords.theta, g)
+    a, b = f_th.a - np.conj(g_th.a), f_th.b - np.conj(g_th.b)
+    mu = (xi.mu - np.round(xi.mu)).reshape(1, -1)
+    ry = math.sqrt(y)
+    shift = y * (mu @ a @ mu.T)[0, 0] - 2 * ry * (mu @ b.T)[0, 0]
+    return GaussianState(f_th.c * np.conj(g_th.c) * np.exp(1j * np.pi * shift),
+                         y * a, ry * b - y * (mu @ a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.floats(1.0, 30.0))
+def test_stacked_main_term_agrees_with_one_state_sums(seed, n, y):
+    rng = np.random.default_rng(seed)
+    f, g = rand_schwartz_state(rng, n), rand_schwartz_state(rng, n)
+    coords, xi = rand_sample(rng, n)
+    coords = IwasawaCoords(complex(coords.tau.real, y), coords.theta)
+    tol = 1e-12
+    states = [_main_term_product(f, g, coords, xi),
+              theta_state(f, coords, xi), theta_state(g, coords, xi)]
+    ref = [_one(s, tol) for s in states]
+    values, errors = _stack(states, tol)
+    main, actual, resid = asymptotic_main_term(f, g, coords, xi, tol)
+    scale = y ** (n / 2)
+    assert main == complex(scale * values[0])
+    assert actual == complex(values[1] * np.conj(values[2]))
+    assert resid == abs(actual - main)
+    main_bound = scale * (errors[0] + ref[0][1]) + _ULPS * abs(main)
+    assert abs(main - scale * ref[0][0]) <= main_bound
+    want = ref[1][0] * np.conj(ref[2][0])
+    bound = (_product_bound(*ref[1], *ref[2]) + _product_bound(values[1], errors[1],
+                                                               values[2], errors[2])
+             + _ULPS * abs(want))
+    assert abs(actual - want) <= bound
+
+
+# c = 0 with Im A < 0: no term of it may be evaluated (e^{2 pi r^2} overflows)
+ZERO = GaussianState(0, [[0.3 - 2j]], [[0.1 + 0.2j]])
+
+
+def test_zero_state_in_the_invariance_stack():
+    coords, xi = IwasawaCoords(0.2 + 0.01j, 0.7), LatticePair([0.3], [0.2])
+    for _, mat, xi0 in gamma_n_generators(1):
+        assert check_gamma_invariance(ZERO, ground_state(1), (mat, xi0), coords, xi) == 0.0
+        assert check_gamma_invariance(ground_state(1), ZERO, (mat, xi0), coords, xi) == 0.0
+    got = asymptotic_main_term(ZERO, ground_state(1), coords, xi)
+    assert got == (0j, 0j, 0.0)
+    assert all(type(v) is t for v, t in zip(got, (complex, complex, float)))
+
+
+def test_generator_translation_must_match_xi():
+    coords, xi = IwasawaCoords(0.2 + 1j, 0.3), LatticePair([0.1, 0.2], [0.3, 0.4])
+    xi0 = LatticePair([1.0], [0.0])
+    with pytest.raises(DomainError, match="xi0 and xi must have equal length"):
+        gamma_transform(np.eye(2), xi0, coords, xi)
+    with pytest.raises(DomainError, match="xi0 and xi must have equal length"):
+        check_gamma_invariance(ground_state(2), ground_state(2), (np.eye(2), xi0), coords, xi)
+
+
+@pytest.mark.parametrize("nf, ng, nxi", [(1, 2, 1), (2, 1, 1), (1, 1, 2)])
+def test_main_term_refuses_a_shape_mismatch(nf, ng, nxi):
+    coords = IwasawaCoords(0.2 + 4j, 0.7)
+    xi = LatticePair(np.full(nxi, 0.1), np.full(nxi, 0.2))
+    with pytest.raises(DomainError, match=r"state shape must be \(1, n\) matching xi"):
+        asymptotic_main_term(ground_state(nf), ground_state(ng), coords, xi)

@@ -1,6 +1,7 @@
 """Stacked lattice sums: ``theta_M`` on a stack of points against one-point
-sums, the one-state engine pinned bit for bit, the tol check, the call
-protocol of ``fourier_coefficient`` and its count of eigenvalue solves."""
+sums, the one-state engine pinned bit for bit, zero states in a stack, the
+tol check, the call protocol of ``fourier_coefficient`` and its count of
+eigenvalue solves."""
 
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, GaussianState, SiegelJacobiPoint,
                         fourier_coefficient, lattice_sum, siegel_theta, theta_M)
+from jacobiweil.theta import _lattice_sums
 
 # (c, A, B, M, tol) and (Re value, Im value, radius, terms, tail_bound,
 # roundoff_bound), the floats as float.hex, from the engine before sums were
@@ -99,6 +101,47 @@ def test_stacked_theta_value_shapes():
     assert isinstance(t.radius, int) and isinstance(t.terms, int)
     empty = theta_M(np.array([[2.0]]), SiegelJacobiPoint(omega[:0], z[:0]), 1e-10)
     assert empty.value.shape == (0,) and empty.truncation.terms == 0
+
+
+def _kernel(states, mm, tol):
+    return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
+                         np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
+                         np.array(mm), tol)
+
+
+def _golden_state(i):
+    c, a, b, mm, _ = GOLDEN[i][0]
+    return GaussianState(c, np.array(a), np.array(b)), mm
+
+
+# zero states whose Im A is negative definite: a term of one evaluated at the
+# radius of the others would overflow
+ZEROS = {1: GaussianState(0, [[0.3 - 2j]], [[0.1 + 0.2j]]),
+         2: GaussianState(0, [[0.2 - 1j, 0.1], [0.1, -0.5 - 3j]], [[0.4 + 0.1j, -0.2j]])}
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (5, 0), (1, 1)])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_zero_states_sum_nothing_anywhere_in_a_stack(pair, at):
+    (s1, mm), (s2, _) = _golden_state(pair[0]), _golden_state(pair[1])
+    if pair == (1, 1):
+        s2 = GaussianState(0.3 + 0.4j, s1.a + 0.2j * np.eye(2), s1.b[:, ::-1])
+    zero = ZEROS[s1.shape[1]]
+    value, radius, tail, terms, roundoff = _kernel([s1, s2][:at] + [zero] + [s1, s2][at:], mm, 1e-10)
+    want = _kernel([s1, s2], mm, 1e-10)
+    assert (radius, terms) == want[1::2]
+    assert (value[at], tail[at], roundoff[at]) == (0, 0, 0)
+    for got, ref in zip((value, tail, roundoff), want[::2]):
+        assert got.dtype == ref.dtype and np.delete(got, at).tobytes() == ref.tobytes()
+
+
+def test_a_stack_of_zero_states_sums_nothing():
+    value, radius, tail, terms, roundoff = _kernel([ZEROS[1]] * 3, [[1.0]], 1e-10)
+    assert (radius, terms) == (0, 0)
+    for x in (value, tail, roundoff):
+        assert x.shape == (3,) and not x.any()
+    tv = lattice_sum(ZEROS[2], np.eye(1), 1e-10)
+    assert (tv.value, tv.truncation) == (0j, type(tv.truncation)(0, 0.0, 0, 0.0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])

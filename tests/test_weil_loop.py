@@ -2,7 +2,8 @@
 ``weil._apply_letters`` pass equals, bit for bit, the chain of one-operator
 calls that builds a checked state after every operator; the letters of
 R~(tau, theta) are in ``_letter``'s output form; M and the state are checked
-once per call; and the loop is the one place that builds a state."""
+once per call; the loop is the one place that builds a state; and the Jacobi
+theta checks make one M check and one lattice-kernel call each."""
 
 import ast
 import math
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement, IwasawaCoords,
-                        LatticePair, sw_heisenberg_apply, sw_iwasawa_apply,
+                        LatticePair, asymptotic_main_term, check_gamma_invariance,
+                        gamma_n_generators, sw_heisenberg_apply, sw_iwasawa_apply,
                         sw_rotation_apply, theta_state, theta_sum_f, weil_apply_word,
                         weil_generator_apply, xi_to_heisenberg)
+from jacobiweil import states, theta
 from jacobiweil.groups import _letter
 from jacobiweil.weil import _iwasawa_letters
 
@@ -106,8 +109,9 @@ def test_weil_chains_solve_few_eigenvalue_problems(monkeypatch):
     coords, xi = IwasawaCoords(0.3 + 0.005j, 2.1), LatticePair([0.2], [-0.3])
     calls.clear()
     theta_sum_f(f, coords, xi, 0.4)
-    # M in theta_state, the returned state, M in lattice_sum (8 with a check per operator)
-    assert len(calls) <= 3
+    # the returned state and M in lattice_sum; M = 1 is checked at import
+    # (8 with a check per operator, 3 with M checked in theta_state)
+    assert len(calls) <= 2
     calls.clear()
     sw_iwasawa_apply(np.eye(1), coords, f)
     assert len(calls) <= 2
@@ -156,3 +160,39 @@ def test_only_linalg_reads_the_positive_definiteness_tolerance():
                             (getattr(node, "id", None), getattr(node, "name", None))
                             for node in ast.walk(ast.parse(path.read_text()))))
     assert readers == ["linalg.py"]
+
+
+def test_jacobi_theta_checks_make_one_m_check_and_few_eigenvalue_problems(monkeypatch):
+    counts = {"eigvalsh": 0, "index": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for module in (states, theta):
+        monkeypatch.setattr(module, "_index_matrix", counted("index", module._index_matrix))
+    f = GaussianState(0.6 - 0.2j, 1j * np.eye(2), [[0.1 + 0.2j, -0.3j]])
+    g = GaussianState(0.2 + 0.9j, [[0.3 + 1.2j, 0.1], [0.1, -0.2 + 0.8j]], [[0.2, 0.1j]])
+    coords, xi = IwasawaCoords(0.3 + 1.1j, 2.1), LatticePair([0.2, 0.1], [-0.3, 0.4])
+    # 8 index-matrix checks and 12 eigvalsh calls with four theta_sum_f calls
+    for _, mat, xi0 in gamma_n_generators(2):
+        counts.update(eigvalsh=0, index=0)
+        check_gamma_invariance(f, g, (mat, xi0), coords, xi)
+        assert counts["index"] == 1 and counts["eigvalsh"] <= 5, counts
+    # 7 and 12 with the rotations and sums checking M each
+    counts.update(eigvalsh=0, index=0)
+    asymptotic_main_term(f, g, IwasawaCoords(0.3 + 4j, 0.7), xi)
+    assert counts["index"] == 1 and counts["eigvalsh"] <= 6, counts
+
+
+def test_jacobi_theta_sums_each_function_through_one_kernel_call():
+    path = SRC / "jacobi_theta.py"
+    assert [scope for scope, _, _ in _calls(path, {"index_matrix", "_index_matrix"})] == [None]
+    sums = [scope for scope, _, _ in _calls(path, {"lattice_sum", "_lattice_sums"})]
+    assert sums and len(sums) == len(set(sums)), sums
+    avoided = {"theta_sum_f", "sw_rotation_apply"}
+    assert [scope for scope, _, _ in _calls(path, avoided)
+            if scope in ("check_gamma_invariance", "asymptotic_main_term")] == []
