@@ -63,15 +63,25 @@ def sl2_on_xi(mat, xi: LatticePair) -> LatticePair:
     return LatticePair(a * xi.lam + b * xi.mu, c * xi.lam + d * xi.mu)
 
 
+def _check_shapes(xi: LatticePair, *states: GaussianState) -> None:
+    for s in states:
+        if s.shape != (1, xi.n):
+            raise DomainError("state shape must be (1, n) matching xi")
+
+
+def _theta_letters(coords: IwasawaCoords, xi: LatticePair, t: float) -> list:
+    """W's letter, then ``weil._iwasawa_letters``, whose last letter, the
+    rotation, is applied first."""
+    return [("heis", (xi_to_heisenberg(xi, t), SW_SCALE))] + _iwasawa_letters(coords, xi.n)
+
+
 def theta_state(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
                 t: float = 0.0) -> GaussianState:
     """The Gaussian state W((xi; t)) R~(tau, theta) f whose lattice sum is Theta_f,
     at the reduced angle theta in [0, 2 pi) stored in ``coords``: W's letter and
     ``weil._iwasawa_letters`` as one list, applied at the module's checked M = 1."""
-    if f.shape != (1, xi.n):
-        raise DomainError("state shape must be (1, n) matching xi")
-    h = ("heis", (xi_to_heisenberg(xi, t), SW_SCALE))
-    return _apply_letters(_M_ONE, [h] + _iwasawa_letters(coords, xi.n), f)
+    _check_shapes(xi, f)
+    return _apply_letters(_M_ONE, _theta_letters(coords, xi, t), f)
 
 
 def theta_sum_f(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
@@ -127,13 +137,16 @@ def asymptotic_main_term(f: GaussianState, g: GaussianState, coords: IwasawaCoor
     B = B_f - conj(B_g); substituting x = (a - mu) sqrt y turns the main term
     into y^{n/2} times one certified lattice sum over a, summed at ``tol``.
     mu is first moved by its nearest integer point, which only relabels a, so
-    that the amplitude of that sum does not underflow for large mu.  The Theta
-    states are built first, and that sum and theirs are one stack.
-    Returns (main, actual, residual).
+    that the amplitude of that sum does not underflow for large mu.  f and g
+    are rotated once: the Theta states are the rotated states under the
+    remaining letters of ``theta_state``, and that sum and theirs are one
+    stack.  Returns (main, actual, residual).
     """
-    th_f, th_g = theta_state(f, coords, xi), theta_state(g, coords, xi)
+    _check_shapes(xi, f, g)
+    *rest, rot = _theta_letters(coords, xi, 0.0)
+    f_th, g_th = (_apply_letters(_M_ONE, [rot], h) for h in (f, g))
+    th_f, th_g = (_apply_letters(_M_ONE, rest, h) for h in (f_th, g_th))
     y = coords.tau.imag
-    f_th, g_th = (_apply_letters(_M_ONE, [("rot", coords.theta)], h) for h in (f, g))
     a, b = f_th.a - np.conj(g_th.a), f_th.b - np.conj(g_th.b)
     mu = (xi.mu - np.round(xi.mu)).reshape(1, -1)
     ry = math.sqrt(y)

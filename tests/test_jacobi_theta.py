@@ -11,7 +11,7 @@ from jacobiweil import (DomainError, GaussianState, IwasawaCoords, LatticePair,
                         gamma_n_generators, ground_state, lattice_sum, rotation_word,
                         state_distance, sw_rotation_apply, theta_state, theta_sum_f,
                         weil_apply_word)
-from jacobiweil import weil
+from jacobiweil import jacobi_theta, weil
 from jacobiweil.jacobi_theta import gamma_transform
 from jacobiweil.theta import _lattice_sums
 
@@ -216,6 +216,48 @@ def test_asymptotic_main_term_large_y_dominant():
     assert abs(actual - main) < 1e-8 * abs(main)
 
 
+def _main_term_rotating_twice(f, g, coords, xi, tol=1e-12):
+    """The reference: ``asymptotic_main_term`` as it was, with the Theta states
+    built by ``theta_state`` and the main-term states rotated again."""
+    th_f, th_g = theta_state(f, coords, xi), theta_state(g, coords, xi)
+    y = coords.tau.imag
+    f_th, g_th = (weil._apply_letters(jacobi_theta._M_ONE, [("rot", coords.theta)], h)
+                  for h in (f, g))
+    a, b = f_th.a - np.conj(g_th.a), f_th.b - np.conj(g_th.b)
+    mu = (xi.mu - np.round(xi.mu)).reshape(1, -1)
+    ry = math.sqrt(y)
+    shift = y * (mu @ a @ mu.T)[0, 0] - 2 * ry * (mu @ b.T)[0, 0]
+    product = GaussianState(f_th.c * np.conj(g_th.c) * np.exp(1j * np.pi * shift),
+                            y * a, ry * b - y * (mu @ a))
+    total, vf, vg = jacobi_theta._stack_sums([product, th_f, th_g], tol)[0]
+    main, actual = y ** (xi.n / 2) * total, vf * np.conj(vg)
+    return complex(main), complex(actual), float(abs(actual - main))
+
+
+def test_asymptotic_main_term_rotates_each_state_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = []
+    for i in range(24):
+        n = 1 + i % 3
+        f, g = rand_schwartz_state(rng, n), rand_schwartz_state(rng, n)
+        coords, xi = rand_sample(rng, n)
+        coords = IwasawaCoords(complex(coords.tau.real, 1 + 8 * rng.random()), coords.theta)
+        cases.append((f, g, coords, xi))
+    # the same states, so the same sums: main, actual and residual keep their bits
+    for case in cases:
+        assert repr(asymptotic_main_term(*case)) == repr(_main_term_rotating_twice(*case))
+    rotations = []
+    apply = weil._apply_letters
+
+    def counted(mm, letters, f):
+        rotations.extend(kind for kind, _ in letters if kind == "rot")
+        return apply(mm, letters, f)
+
+    monkeypatch.setattr(jacobi_theta, "_apply_letters", counted)
+    asymptotic_main_term(*cases[0])
+    assert len(rotations) == 2
+
+
 def test_asymptotic_decay_with_rotation(rng):
     # a non-ground state so the rotation genuinely mixes the profile
     f = GaussianState(1.0, np.array([[0.2 + 1.4j]]), np.array([[0.15 + 0.1j]]))
@@ -266,7 +308,7 @@ def test_rotation_matches_explicit_kernel_with_staircase_phase():
 
 def _stack(states, tol):
     """The values and error bounds of states summed as one stack at M = 1."""
-    value, _, tail, _, roundoff = _lattice_sums(
+    value, _, tail, _, roundoff, _ = _lattice_sums(
         np.array([s.c for s in states]), np.array([s.a for s in states]),
         np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
         np.eye(1), tol)

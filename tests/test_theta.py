@@ -192,16 +192,17 @@ def test_lattice_sum_index_shape():
 # --- the block engine against an independent per-shell loop ---------------------
 
 
-def _per_shell_reference(state, mm, radius):
+def _per_shell_reference(state, mm, truncation):
     """Per-shell summation sharing no code with the engine: each sup-norm shell
-    filtered from an itertools cube, one einsum/exp/sum round per shell,
-    shells added in increasing radius."""
+    around the engine's centre ``truncation.shift`` filtered from an itertools
+    cube, the terms of the state as given, one einsum/exp/sum round per
+    shell, shells added in increasing radius."""
     m, n = state.shape
     total = 0j
-    for r in range(radius + 1):
+    for r in range(truncation.radius + 1):
         cube = itertools.product(range(-r, r + 1), repeat=m * n)
         shell = [pt for pt in cube if max(map(abs, pt)) == r]
-        xs = np.array(shell, dtype=float).reshape(-1, m, n)
+        xs = np.array(shell, dtype=float).reshape(-1, m, n) + truncation.shift
         quad = np.einsum("kij,jl,kml,im->k", xs, state.a, xs, mm)
         lin = 2 * np.einsum("kij,lj,il->k", xs, state.b, mm)
         vals = state.c * np.exp(1j * np.pi * (quad + lin))
@@ -226,7 +227,7 @@ def test_engine_matches_per_shell_reference(rng):
             for drift in (0.0, 0.25, 0.5):
                 state = _random_state(rng, n, y, drift)
                 tv = lattice_sum(state, np.eye(1), 1e-8)
-                ref = _per_shell_reference(state, np.eye(1), tv.truncation.radius)
+                ref = _per_shell_reference(state, np.eye(1), tv.truncation)
                 assert tv.truncation.terms == (2 * tv.truncation.radius + 1) ** n
                 assert abs(tv.value - ref) <= tv.truncation.roundoff_bound
 
@@ -260,9 +261,13 @@ def test_radius_is_least_certified(rng):
         assert tv.truncation.tail_bound <= tol
         if radius == 1:
             continue
+        # the shifted frame: B + kA, and the amplitude |c| exp(Re log_scale)
+        k = tv.truncation.shift
+        b = state.b + k @ state.a
+        log_amp = -math.pi * np.trace(k @ state.a.imag @ k.T + 2 * k @ state.b.imag.T)
         decay = math.pi * np.linalg.eigvalsh(state.a.imag).min()
-        drift = 2 * math.pi * np.linalg.norm(state.b.imag) * math.sqrt(n)
-        assert abs(state.c) * _tail_majorant(radius - 1, n, decay, drift) > tol
+        drift = 2 * math.pi * np.linalg.norm(b.imag) * math.sqrt(n)
+        assert abs(state.c) * _tail_majorant(radius - 1, n, decay, drift, log_amp) > tol
 
 
 def test_roundoff_bound_covers_stress_case():

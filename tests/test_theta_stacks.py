@@ -15,9 +15,12 @@ from jacobiweil import (DomainError, GaussianState, SiegelJacobiPoint,
 from jacobiweil.theta import _lattice_sums
 
 # (c, A, B, M, tol) and (Re value, Im value, radius, terms, tail_bound,
-# roundoff_bound), the floats as float.hex, from the engine before sums were
-# stacked: n = 1..3, m = 1..2, and last the stress case Im Omega = 0.005 with
-# drift 0.5, whose terms reach e^157
+# roundoff_bound), the floats as float.hex: n = 1..3, m = 1..2, from the
+# engine before sums were stacked, and last the stress case Im Omega = 0.005
+# with drift 0.5, whose terms reach e^157.  The first five have shift 0 and
+# keep those bits; the last is re-centred at k = -100, and its value is
+# within tail_bound + roundoff_bound of a 60-digit mpmath jtheta
+# (test_theta.py::test_roundoff_bound_covers_stress_case)
 GOLDEN = [
     ((1.0, [[0.3 + 1.0j]], [[0.2 + 0.1j]], [[1.0]], 1e-12),
      ("0x1.10410241731cfp+0", "-0x1.a15b4c332d779p-8", 3, 7,
@@ -40,8 +43,8 @@ GOLDEN = [
      ("0x1.e9fc68b938f08p-1", "0x1.29ac3453bd537p-4", 4, 6561,
       "0x1.1d42967d1f4e8p-35", "0x1.50359657fd84ep-36")),
     ((1.0, [[-0.42 + 0.005j]], [[0.3 + 0.5j]], [[1.0]], 1e-10),
-     ("0x1.9c400df1d3816p+226", "0x1.aa77eb34b5839p+226", 207, 415,
-      "0x1.39296030d8afep-36", "0x1.989b08ecdd9b4p+194")),
+     ("0x1.9c400df1d4d12p+226", "0x1.aa77eb34b1dfap+226", 107, 215,
+      "0x1.39296030d89c5p-36", "0x1.7dac92013c862p+193")),
 ]
 
 
@@ -104,9 +107,10 @@ def test_stacked_theta_value_shapes():
 
 
 def _kernel(states, mm, tol):
+    """The kernel's values, radius, tail bounds, terms and roundoff bounds."""
     return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
                          np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-                         np.array(mm), tol)
+                         np.array(mm), tol)[:5]
 
 
 def _golden_state(i):
