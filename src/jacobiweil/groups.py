@@ -17,6 +17,7 @@ Conventions (fixed package-wide):
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,6 +43,14 @@ def symplectic_form(n: int) -> np.ndarray:
         j.flags.writeable = False
         _FORMS[n] = j
     return j
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity: one shared, read-only array per n, built on first use."""
+    i = np.eye(n)
+    i.flags.writeable = False
+    return i
 
 
 def _block(rows, n: int) -> np.ndarray:
@@ -174,25 +183,41 @@ def _letter(kind: str, parameter, n: int | None):
     return par if kind == "t" else (par, det)
 
 
+_LETTER_KINDS = {"t": 0, "g": 1, "sigma": 2}
+
+
+@functools.cache
+def _letter_fixed(n: int) -> np.ndarray:
+    """The parameter-free part of each letter kind's matrix, as one shared,
+    read-only (3, 2n, 2n) stack in ``_LETTER_KINDS`` order: I for t (b goes
+    into its top-right block), zero for g (its diagonal blocks are the
+    parameter's) and sigma itself."""
+    i = _eye(n)
+    fixed = np.zeros((3, 2 * n, 2 * n))
+    fixed[0, :n, :n] = fixed[0, n:, n:] = i
+    fixed[2, :n, n:] = -i
+    fixed[2, n:, :n] = i
+    fixed.flags.writeable = False
+    return fixed
+
+
 def _letter_matrices(letters, n: int) -> np.ndarray:
     """The matrices of letters (kind, parameter) in ``_letter``'s output form,
     as one (k, 2n, 2n) stack: ``t(b)`` = [[I, b], [0, I]], ``g(alpha)`` =
-    [[alpha^T, 0], [0, alpha^{-1}]] and ``sigma`` = [[0, -I], [I, 0]].  The
-    inverses of all the g letters come from one stacked ``inv``."""
-    out = np.zeros((len(letters), 2 * n, 2 * n))
-    i = np.eye(n)
+    [[alpha^T, 0], [0, alpha^{-1}]] and ``sigma`` = [[0, -I], [I, 0]].
+
+    Each letter's fixed part comes from one ``take`` (``_letter_fixed``), so
+    only b and alpha^T are written letter by letter; the inverses of all the
+    g letters come from one stacked ``inv``.
+    """
+    out = _letter_fixed(n).take([_LETTER_KINDS[kind] for kind, _ in letters], axis=0)
     gs = []
     for x, (kind, par) in enumerate(letters):
         if kind == "t":
-            out[x, :n, :n] = i
             out[x, :n, n:] = par
-            out[x, n:, n:] = i
         elif kind == "g":
             out[x, :n, :n] = par[0].T
             gs.append(x)
-        else:
-            out[x, :n, n:] = -i
-            out[x, n:, :n] = i
     if gs:
         out[gs, n:, n:] = np.linalg.inv(np.array([letters[x][1][0] for x in gs]))
     return out

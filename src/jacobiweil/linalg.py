@@ -30,11 +30,12 @@ def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
 
     Raises AsymmetryError, naming the first offending matrix's defect, when a
     defect max|a - a^T| exceeds ``defect_tol`` times that matrix's scale
-    max(1, max|a|).  A NaN defect compares false and passes.  Each threshold
-    is at least ``defect_tol``, so when no entry's defect exceeds that, one
-    count decides, and the per-matrix defects and scales are only reduced
-    otherwise.  Matrices of size 0 x 0 have no entries to reduce, and their
-    copy is returned.
+    max(1, max|a|); a NaN entry leaves that scale at 1 (``np.fmax``), as
+    Python's max(1.0, nan) does.  A NaN defect compares false and passes.
+    Each threshold is at least ``defect_tol``, so when no entry's defect
+    exceeds that, one count decides, and the per-matrix defects and scales
+    are only reduced otherwise.  Matrices of size 0 x 0 have no entries to
+    reduce, and their copy is returned.
     """
     if a.size == 0:
         return a.copy()
@@ -42,7 +43,7 @@ def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
     d = abs(a - t)
     if np.count_nonzero(d > defect_tol):
         defect = d.max(axis=(-2, -1))
-        over = defect > defect_tol * np.maximum(1.0, abs(a).max(axis=(-2, -1)))
+        over = defect > defect_tol * np.fmax(1.0, abs(a).max(axis=(-2, -1)))
         if over.any():
             raise AsymmetryError(f"asymmetry defect {defect[over][0]:.3e} exceeds {defect_tol:.1e}")
     return 0.5 * (a + t)

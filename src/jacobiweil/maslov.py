@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .groups import SymplecticElement, _block, _sl2_entries, _word_products, symplectic_form
+from .groups import (SymplecticElement, _block, _eye, _sl2_entries, _word_products,
+                     symplectic_form)
 from .linalg import _inertia
 
 ISO_TOL = 1e-10
@@ -134,12 +135,14 @@ def _bases(ls) -> np.ndarray:
 
 
 def _indices(triples) -> list[int]:
-    """The Maslov indices of a list of (x1, x2, x3) basis triples of one N,
-    from one ``_maslov_stack`` call, the package's one entry into that kernel;
-    no triples give no indices."""
-    if not triples:
+    """The Maslov indices of k triples of 2N x N bases of one N, given as a
+    sequence of (x1, x2, x3) or as one (k, 3, 2N, N) array, from one
+    ``_maslov_stack`` call, the package's one entry into that kernel; no
+    triples give no indices."""
+    if not len(triples):
         return []
-    return _maslov_stack(*(np.array(xs) for xs in zip(*triples))).tolist()
+    xs = np.asarray(triples)
+    return _maslov_stack(xs[:, 0], xs[:, 1], xs[:, 2]).tolist()
 
 
 def maslov3(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
@@ -207,8 +210,10 @@ def _draw_word(rng: np.random.Generator, n: int) -> list:
     that check would return bit for bit: a t letter 0.5 (b + b^T) is exactly
     symmetric, and a g candidate alpha = I + 0.6 N(0, 1), redrawn while
     |det alpha| < 0.3 (``_letter`` refuses below 1e-12), is (alpha, det alpha).
+    Every candidate adds its noise to the one shared identity of ``_eye``.
     """
     word = []
+    eye = _eye(n)
     for _ in range(rng.integers(1, 5)):
         kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
@@ -216,7 +221,7 @@ def _draw_word(rng: np.random.Generator, n: int) -> list:
             word.append(("t", 0.5 * (b + b.T)))
         elif kind == "g":
             while True:
-                al = np.eye(n) + 0.6 * rng.normal(size=(n, n))
+                al = eye + 0.6 * rng.normal(size=(n, n))
                 det = np.linalg.det(al)
                 if abs(det) >= 0.3:
                     break

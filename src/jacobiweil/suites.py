@@ -9,6 +9,7 @@ in which absolute residual gates are meaningful for double precision
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,27 +121,36 @@ def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
             "tol": tol, "passed": not failures, "failures": failures[:5], **extras}
 
 
-def _axiom_terms(ls, chain, aux, g, g1, g2, g3, g12, g23):
-    """The triples that the axiom checks of one case need, and each check as
-    signed positions in that list: its defect is the signed sum of their
-    indices.  The Lagrangians are plain bases and the group elements plain
-    matrices, g12 = g1 g2 and g23 = g2 g3 among them; images under g are
-    plain bases, as in ``tau_ell``."""
-    triples = []
+# A case's bases, by slot: l1..l6 (0-5), the auxiliary Lagrangian drawn when
+# d = 6 (6), g l1..g l3 (7-9), the coordinate basis o (10), and the images of
+# o under g1, g2, g1 g2, g2 g3, (g1 g2) g3 and g1 (g2 g3) (11-16).
+_AXIOM_SLOTS = 17
+
+
+@functools.cache
+def _axiom_terms(d: int):
+    """The template of the axiom checks of a case with chain length d: the
+    distinct triples they need, as a (k, 3) array of slots, and each check
+    as signed positions in it, whose indices' signed sum is its defect.
+
+    A triple that two checks share, such as (l1, l2, l3), is indexed once;
+    the auxiliary Lagrangian is l6 unless d = 6.
+    """
+    triples = {}
 
     def tau(*xs):
-        triples.append(xs)
-        return len(triples) - 1
+        return triples.setdefault(xs, len(triples))
 
     def chain_tau(xs):
         return [tau(*t) for t in _chain_triples(xs)]
 
-    l1, l2, l3, l4 = ls[:4]
-    o = _coordinate_basis(l1.shape[1])
+    l1, l2, l3, l4 = range(4)
+    chain, aux = list(range(d)), 6 if d == 6 else 5
+    gl1, gl2, gl3, o, g1, g2, g12, g23, g12_3, g1_23 = range(7, _AXIOM_SLOTS)
     t123 = tau(l1, l2, l3)
     c1234 = chain_tau([l1, l2, l3, l4])
     terms = {
-        "g_invariance": [(1, tau(*(g @ x for x in (l1, l2, l3)))), (-1, t123)],
+        "g_invariance": [(1, tau(gl1, gl2, gl3)), (-1, t123)],
         "antisym_12": [(1, tau(l2, l1, l3)), (1, t123)],
         "antisym_23": [(1, tau(l1, l3, l2)), (1, t123)],
         "cocycle4": [(1, t123), (-1, tau(l1, l2, l4)), (-1, tau(l2, l3, l4)),
@@ -151,56 +161,111 @@ def _axiom_terms(ls, chain, aux, g, g1, g2, g3, g12, g23):
                                + [(1, t) for t in chain_tau([l2, l1, l4, l3])]),
         # (d): chain decomposition against an auxiliary Lagrangian
         "chain_aux": ([(1, t) for t in chain_tau(chain)]
-                      + [(-1, tau(chain[j], chain[j + 1], aux)) for j in range(len(chain) - 1)]
+                      + [(-1, tau(chain[j], chain[j + 1], aux)) for j in range(d - 1)]
                       + [(-1, tau(chain[-1], chain[0], aux))]),
-        # (g): additive cocycle identity for tau_l
-        "tau_cocycle": [(1, tau(*_tau_bases(o, g12, g3))),
-                        (1, tau(*_tau_bases(o, g1, g2))),
-                        (-1, tau(*_tau_bases(o, g1, g23))),
-                        (-1, tau(*_tau_bases(o, g2, g3)))],
+        # (g): additive cocycle identity for tau_l, each triple (L, g L, g g' L)
+        # as in ``_tau_bases``
+        "tau_cocycle": [(1, tau(o, g12, g12_3)), (1, tau(o, g1, g12)),
+                        (-1, tau(o, g1, g1_23)), (-1, tau(o, g2, g23))],
     }
-    return triples, terms
+    template = np.array(list(triples))
+    template.flags.writeable = False  # shared by every case of this d
+    return template, terms
+
+
+def _axiom_pass(n: int, cases) -> list:
+    """Defects, Lagrangians l1..l6 and g of each case (d, words) of dimension n.
+
+    One ``_word_products`` call multiplies every word; one
+    ``_require_symplectic`` call checks the products with every g1 g2 and
+    g2 g3, and one ``_require_lagrangian`` call the 6 or 7 images of the
+    coordinate Lagrangian of every case.  The triples of every case's
+    template (``_axiom_terms``) then get their indices from one
+    ``maslov._indices`` call.  Images under g are plain bases, as in
+    ``tau_ell``.
+    """
+    k = len(cases)
+    sizes = np.array([len(words) for _, words in cases])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    prods = _word_products([word for _, words in cases for word in words], n)
+    g1, g2, g3 = ends - 3, ends - 2, ends - 1
+    pairs = prods[np.r_[g1, g2]] @ prods[np.r_[g2, g3]]  # every g1 g2, then every g2 g3
+    _require_symplectic(np.concatenate([prods, pairs]))
+    # l1..l6, and the drawn auxiliary Lagrangian, product 7 after g, when d = 6
+    nlag = np.array([7 if d == 6 else 6 for d, _ in cases])
+    first = np.cumsum(nlag) - nlag
+    lag_rows = [s + j for s, m in zip(starts.tolist(), nlag.tolist())
+                for j in (0, 1, 2, 3, 4, 5, 7)[:m]]
+    triple = (np.concatenate([pairs[:k], prods[g1]])
+              @ np.concatenate([prods[g3], pairs[k:]]))  # (g1 g2) g3, then g1 (g2 g3)
+    o = _coordinate_basis(n)
+    images = np.concatenate([prods[lag_rows], prods[g1], prods[g2], pairs, triple]) @ o
+    lag = images[:len(lag_rows)]
+    _require_lagrangian(lag)
+    moved = prods[starts + 6].repeat(3, axis=0) @ lag[(first[:, None] + np.arange(3)).ravel()]
+    bases = np.concatenate([lag, moved, o[None], images[len(lag):]])
+    # slot -> row of ``bases`` for each case; slot 6 is read only when d = 6
+    slots = np.empty((k, _AXIOM_SLOTS), dtype=int)
+    slots[:, :7] = first[:, None] + np.arange(7)
+    slots[:, 7:10] = len(lag) + 3 * np.arange(k)[:, None] + np.arange(3)
+    slots[:, 10] = len(lag) + 3 * k
+    slots[:, 11:] = len(lag) + 3 * k + 1 + k * np.arange(6) + np.arange(k)[:, None]
+    templates = [_axiom_terms(d) for d, _ in cases]
+    rows = np.concatenate([s[triples] for s, (triples, _) in zip(slots, templates)])
+    index = _indices(bases[rows])
+    out, at = [], 0
+    for (triples, terms), f, s in zip(templates, first.tolist(), starts.tolist()):
+        defects = {key: sum(sign * index[at + t] for sign, t in ts) for key, ts in terms.items()}
+        out.append((defects, lag[f:f + 6], prods[s + 6]))
+        at += len(triples)
+    return out
 
 
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     """Lemma-style axioms for the triple/chain index, exact integer equality.
 
-    A case draws its words in a fixed order: six Lagrangians, g, the chain
-    length d, an auxiliary Lagrangian when d = 6, then g1, g2 and g3.  It
-    multiplies them in one stacked pass; one ``_require_symplectic`` call
-    checks every product together with g1 g2 and g2 g3, and one
-    ``_require_lagrangian`` call checks the 6 or 7 images of the coordinate
-    Lagrangian.  The indices of every triple its checks need then come from
-    one ``maslov._indices`` call.
+    Every case is drawn first, each in a fixed order: n, six Lagrangians, g,
+    the chain length d, an auxiliary Lagrangian when d = 6, then g1, g2 and
+    g3.  Then each dimension drawn, n = 1, 2, 3 in turn, has one stacked pass
+    (``_axiom_pass``): one product, one symplectic and one Lagrangian check,
+    and one Maslov kernel call for all of its cases.  When a stacked check
+    raises, the cases are run again one at a time, in order, so the error is
+    the first case's, as one case at a time would raise it.
     """
     _require_cases(count)
     rng = np.random.default_rng(seed)
-    failures = []
-    worst = 0
-    checks = 0
-    for i in range(count):
+    cases = []
+    for _ in range(count):
         n = (1, 2, 3)[rng.integers(3)]
         words = [_draw_word(rng, n) for _ in range(7)]  # six Lagrangians, then g
         d = int(rng.integers(3, 7))  # chain length, up to 6
         words += [_draw_word(rng, n) for _ in range(4 if d == 6 else 3)]
-        prods = _word_products(words, n)
-        pairs = prods[[-3, -2]] @ prods[[-2, -1]]  # g1 g2 and g2 g3
-        _require_symplectic(np.concatenate([prods, pairs]))
-        # the auxiliary Lagrangian is the last basis: the drawn one when d = 6,
-        # the sixth one otherwise
-        bases = prods[[0, 1, 2, 3, 4, 5] + ([7] if d == 6 else [])] @ _coordinate_basis(n)
-        _require_lagrangian(bases)
-        triples, terms = _axiom_terms(bases[:6], bases[:d], bases[-1], prods[6],
-                                      *prods[-3:], *pairs)
-        index = _indices(triples)
-        defects = {k: sum(sign * index[t] for sign, t in ts) for k, ts in terms.items()}
+        cases.append((n, d, words))
+    results = {}
+    try:
+        for n in (1, 2, 3):
+            ids = [i for i, case in enumerate(cases) if case[0] == n]
+            if ids:
+                results.update(zip(ids, _axiom_pass(n, [cases[i][1:] for i in ids])))
+    except (ValueError, RuntimeError):
+        # the package's errors, numpy's LinAlgError among them; a stacked
+        # check raises the first error of its dimension, not of the suite
+        for n, d, words in cases:
+            _axiom_pass(n, [(d, words)])
+        raise
+    failures = []
+    worst = 0
+    checks = 0
+    for i, (n, _, _) in enumerate(cases):
+        defects, lag, g = results[i]
         checks += len(defects)
         bad = {k: v for k, v in defects.items() if v != 0}
         worst = max(worst, max((abs(v) for v in defects.values()), default=0))
         if bad:
             failures.append({"case": i, "n": n, "defects": bad,
-                             "lagrangians": [serialize.encode_matrix(b) for b in bases[:6]],
-                             "g": serialize.encode_matrix(prods[6])})
+                             "lagrangians": [serialize.encode_matrix(b) for b in lag],
+                             "g": serialize.encode_matrix(g)})
     return _report("maslov-axioms", seed, count, worst, tol, failures, checks=checks)
 
 

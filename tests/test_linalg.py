@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import (AsymmetryError, DomainError, EigenSolverError,
@@ -233,8 +233,17 @@ def _square_matrices(draw):
     return a
 
 
+def _nan_with_infinite_asymmetry():
+    """4 x 4 zeros but a[3, 0] = nan and b[0, 3] = inf: z = a + ib has an
+    infinite asymmetry defect, and max|z| is NaN."""
+    a, b = np.zeros((4, 4)), np.zeros((4, 4))
+    a[3, 0], b[0, 3] = math.nan, math.inf
+    return a, b
+
+
 @settings(max_examples=400, deadline=None)
 @given(_square_matrices(), _square_matrices())
+@example(*_nan_with_infinite_asymmetry())
 def test_validators_match_first_versions(a, b):
     _same(_outcome(real_sym, a), _outcome(_ref_sym, a, float, SYM_DEFECT_TOL))
     if a.shape == b.shape:
@@ -245,6 +254,16 @@ def test_validators_match_first_versions(a, b):
     _same(_outcome(is_positive_definite, a), _outcome(_ref_is_positive_definite, a))
     stack = [a, b, a.T] if a.shape == b.shape else [a]
     _same(_outcome(_stacked_signatures, stack), _outcome(_ref_signatures, stack))
+
+
+def test_nan_entry_leaves_the_asymmetry_scale_at_one():
+    # the first version's scale max(1.0, nan) is 1.0, so the infinite defect
+    # is over the threshold
+    a, b = _nan_with_infinite_asymmetry()
+    with np.errstate(all="ignore"):
+        z = a + 1j * b
+        with pytest.raises(AsymmetryError, match="asymmetry defect inf exceeds"):
+            complex_sym(z)
 
 
 def _stacked_signatures(stack):

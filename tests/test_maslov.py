@@ -13,6 +13,7 @@ from jacobiweil import (DomainError, Lagrangian, SymplecticElement,
                         random_symplectic, signature, sp_generator, sp_identity,
                         tau_ell, word_to_symplectic)
 import jacobiweil.maslov as maslov_mod
+import jacobiweil.suites as suites_mod
 from jacobiweil.errors import InvariantViolation
 from jacobiweil.groups import _letter, _word_products
 from jacobiweil.serialize import encode_matrix
@@ -370,7 +371,9 @@ def _cocycles_case_by_case(rng, count, tol=1e-12):
 
 
 @pytest.mark.parametrize("name, suite, case_by_case, count, tol", [
+    ("maslov-axioms", suite_maslov_axioms, _maslov_axioms_case_by_case, 1, 0.0),
     ("maslov-axioms", suite_maslov_axioms, _maslov_axioms_case_by_case, 5, 0.0),
+    ("maslov-axioms", suite_maslov_axioms, _maslov_axioms_case_by_case, 17, 0.0),
     ("cocycles", suite_cocycles, _cocycles_case_by_case, 15, 1e-12),
 ])
 def test_suite_matches_case_by_case(monkeypatch, name, suite, case_by_case, count, tol):
@@ -379,12 +382,74 @@ def test_suite_matches_case_by_case(monkeypatch, name, suite, case_by_case, coun
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(default_rng(seed)) or made[-1])
-    for seed in range(10):
+    for seed in range(40):
         report = suite(seed, count)
         ref = default_rng(seed)
         worst, failures, extras = case_by_case(ref, count)
         assert report == _report(name, seed, count, worst, tol, failures, **extras)
         assert made[-1].random() == ref.random()
+
+
+def _maslov_axioms_drawing(monkeypatch, seed, count):
+    """Run ``suite_maslov_axioms(seed, count)``; the dimension of each word it
+    draws, in the order drawn."""
+    dims = []
+    draw = suites_mod._draw_word
+    monkeypatch.setattr(suites_mod, "_draw_word", lambda rng, n: dims.append(n) or draw(rng, n))
+    suite_maslov_axioms(seed, count)
+    monkeypatch.setattr(suites_mod, "_draw_word", draw)
+    return dims
+
+
+@pytest.mark.parametrize("count", [1, 5, 17])
+def test_maslov_axioms_makes_one_kernel_call_per_dimension(monkeypatch, count):
+    # one product, one symplectic check, one Lagrangian check and one index
+    # call for all the cases of each dimension drawn, n = 1, 2, 3 in turn
+    dim_of = {"_word_products": lambda words, n: n,
+              "_require_symplectic": lambda g: g.shape[-1] // 2,
+              "_require_lagrangian": lambda b: b.shape[-1],
+              "_indices": lambda triples: np.shape(triples)[-1]}
+    calls = {name: [] for name in dim_of}
+    for name, dim in dim_of.items():
+        fn = getattr(suites_mod, name)
+        monkeypatch.setattr(suites_mod, name, lambda *args, fn=fn, dim=dim, seen=calls[name]:
+                            seen.append(dim(*args)) or fn(*args))
+    for seed in range(10):
+        for seen in calls.values():
+            seen.clear()
+        dims = sorted(set(_maslov_axioms_drawing(monkeypatch, seed, count)))
+        assert calls == {name: dims for name in dim_of}
+
+
+def test_axiom_templates_index_each_triple_once():
+    # (l1, l2, l3) and the triples that the chain checks share are indexed once
+    for d, size in ((3, 18), (4, 19), (5, 21), (6, 23)):
+        triples, terms = suites_mod._axiom_terms(d)
+        assert triples.shape == (size, 3)
+        assert len({tuple(t) for t in triples.tolist()}) == size
+        assert sorted({t for ts in terms.values() for _, t in ts}) == list(range(size))
+
+
+def test_maslov_axioms_raises_the_first_cases_error(monkeypatch):
+    # the Lagrangian check fails for a case of dimension n0 and for a later
+    # case of a lower dimension, which a pass by dimension would reach first;
+    # the suite raises the first case's error, as one case at a time would
+    for seed in range(100):
+        dims = _maslov_axioms_drawing(monkeypatch, seed, 5)
+        if min(dims) < dims[0]:
+            break
+    assert min(dims) < dims[0]
+    bad = {dims[0], min(dims)}
+    check = suites_mod._require_lagrangian
+
+    def failing(b):
+        if b.shape[-1] in bad:
+            raise InvariantViolation(f"n = {b.shape[-1]}")
+        check(b)
+
+    monkeypatch.setattr(suites_mod, "_require_lagrangian", failing)
+    with pytest.raises(InvariantViolation, match=f"^n = {dims[0]}$"):
+        suite_maslov_axioms(seed, 5)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -407,10 +472,13 @@ def test_maslov_zero_rule_has_a_wide_margin(monkeypatch):
     grams = []
     inertia = maslov_mod._inertia
     monkeypatch.setattr(maslov_mod, "_inertia", lambda q: grams.append(q) or inertia(q))
+    kernel_calls = 0
     for seed in range(10):
-        suite_maslov_axioms(seed, 5)
+        # one kernel call per dimension drawn in a maslov-axioms suite, two per
+        # cocycles suite
+        kernel_calls += len(set(_maslov_axioms_drawing(monkeypatch, seed, 5))) + 2
         suite_cocycles(seed, 15)
-    assert len(grams) == 10 * (5 + 2)
+    assert len(grams) == kernel_calls
     for q in grams:
         a = abs(np.linalg.eigvalsh(0.5 * (q + q.swapaxes(-1, -2))))
         threshold = np.broadcast_to(1e-9 * np.maximum(1.0, a.max(axis=-1, keepdims=True)),
