@@ -122,8 +122,8 @@ def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
 
 
 # A case's bases, by slot: l1..l6 (0-5), the auxiliary Lagrangian drawn when
-# d = 6 (6), g l1..g l3 (7-9), the coordinate basis o (10), and the images of
-# o under g1, g2, g1 g2, g2 g3, (g1 g2) g3 and g1 (g2 g3) (11-16).
+# d = 6 (6; unread when d < 6), g l1..g l3 (7-9), the coordinate basis o (10),
+# and the images of o under g1, g2, g1 g2, g2 g3, (g1 g2) g3 and g1 (g2 g3) (11-16).
 _AXIOM_SLOTS = 17
 
 
@@ -178,46 +178,39 @@ def _axiom_pass(n: int, cases) -> list:
 
     One ``_word_products`` call multiplies every word; one
     ``_require_symplectic`` call checks the products with every g1 g2 and
-    g2 g3, and one ``_require_lagrangian`` call the 6 or 7 images of the
-    coordinate Lagrangian of every case.  The triples of every case's
-    template (``_axiom_terms``) then get their indices from one
-    ``maslov._indices`` call.  Images under g are plain bases, as in
-    ``tau_ell``.
+    g2 g3.  Each case's bases fill one (k, ``_AXIOM_SLOTS``, 2n, n) array in
+    the slots of ``_axiom_terms``; slots 0-6 are the coordinate basis o under
+    words 0-5 and 7, which is the auxiliary Lagrangian when d = 6 and g1,
+    read by no template, otherwise.  One ``_require_lagrangian`` call checks
+    slots 0-5 of every case, and slot 6 where d = 6; one ``maslov._indices``
+    call indexes the triples of every case's template.  Images under g are
+    plain bases, as in ``tau_ell``.
     """
     k = len(cases)
     sizes = np.array([len(words) for _, words in cases])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     prods = _word_products([word for _, words in cases for word in words], n)
-    g1, g2, g3 = ends - 3, ends - 2, ends - 1
-    pairs = prods[np.r_[g1, g2]] @ prods[np.r_[g2, g3]]  # every g1 g2, then every g2 g3
+    g, g1, g2, g3 = prods[starts + 6], prods[ends - 3], prods[ends - 2], prods[ends - 1]
+    pairs = np.concatenate([g1, g2]) @ np.concatenate([g2, g3])  # every g1 g2, then every g2 g3
     _require_symplectic(np.concatenate([prods, pairs]))
-    # l1..l6, and the drawn auxiliary Lagrangian, product 7 after g, when d = 6
-    nlag = np.array([7 if d == 6 else 6 for d, _ in cases])
-    first = np.cumsum(nlag) - nlag
-    lag_rows = [s + j for s, m in zip(starts.tolist(), nlag.tolist())
-                for j in (0, 1, 2, 3, 4, 5, 7)[:m]]
-    triple = (np.concatenate([pairs[:k], prods[g1]])
-              @ np.concatenate([prods[g3], pairs[k:]]))  # (g1 g2) g3, then g1 (g2 g3)
+    triple = (np.concatenate([pairs[:k], g1])
+              @ np.concatenate([g3, pairs[k:]]))  # (g1 g2) g3, then g1 (g2 g3)
     o = _coordinate_basis(n)
-    images = np.concatenate([prods[lag_rows], prods[g1], prods[g2], pairs, triple]) @ o
-    lag = images[:len(lag_rows)]
-    _require_lagrangian(lag)
-    moved = prods[starts + 6].repeat(3, axis=0) @ lag[(first[:, None] + np.arange(3)).ravel()]
-    bases = np.concatenate([lag, moved, o[None], images[len(lag):]])
-    # slot -> row of ``bases`` for each case; slot 6 is read only when d = 6
-    slots = np.empty((k, _AXIOM_SLOTS), dtype=int)
-    slots[:, :7] = first[:, None] + np.arange(7)
-    slots[:, 7:10] = len(lag) + 3 * np.arange(k)[:, None] + np.arange(3)
-    slots[:, 10] = len(lag) + 3 * k
-    slots[:, 11:] = len(lag) + 3 * k + 1 + k * np.arange(6) + np.arange(k)[:, None]
+    bases = np.empty((k, _AXIOM_SLOTS, 2 * n, n))
+    bases[:, :7] = prods[starts[:, None] + (0, 1, 2, 3, 4, 5, 7)] @ o
+    bases[:, 10] = o
+    bases[:, 11:] = np.stack([g1, g2, pairs[:k], pairs[k:], triple[:k], triple[k:]], axis=1) @ o
+    kept = np.ones((k, 7), dtype=bool)
+    kept[:, 6] = [d == 6 for d, _ in cases]
+    _require_lagrangian(bases[:, :7][kept])
+    bases[:, 7:10] = g[:, None] @ bases[:, :3]
     templates = [_axiom_terms(d) for d, _ in cases]
-    rows = np.concatenate([s[triples] for s, (triples, _) in zip(slots, templates)])
-    index = _indices(bases[rows])
+    index = _indices(np.concatenate([b[triples] for b, (triples, _) in zip(bases, templates)]))
     out, at = [], 0
-    for (triples, terms), f, s in zip(templates, first.tolist(), starts.tolist()):
+    for b, gb, (triples, terms) in zip(bases, g, templates):
         defects = {key: sum(sign * index[at + t] for sign, t in ts) for key, ts in terms.items()}
-        out.append((defects, lag[f:f + 6], prods[s + 6]))
+        out.append((defects, b[:6], gb))
         at += len(triples)
     return out
 

@@ -106,31 +106,27 @@ def _least_radius(tol: float, dim: int, amp: float, decay: float, drift: float,
 
     The majorant is at least 4d exp(log_amp - decay r^2 + drift r) at
     r = R + 1, so every R + 1 below the larger root r* of
-    decay r^2 - drift r = log_amp + log(4d amp / tol) fails when the right
-    side is positive.  The search starts below r*, brackets with steps that
-    double, and bisects: once the majorant is finite it at least halves with
-    each step of R, so the bracket always holds the least R.
+    decay r^2 - drift r = c = log_amp + log(4d amp) - log(tol) fails when
+    c > 0.  So the scan starts at R = floor(r*) - 1 (at 1 unless
+    c > 16 decay, so r* > 4, and r* < RADIUS_CAP + 2) and steps up by 1:
+    once the majorant is finite it stays finite and at least halves with each
+    step, so the first R that passes is the least.  c is a difference of
+    logs: tol = inf gives c = -inf and the start 1, and a tiny tol cannot
+    overflow 4d amp / tol.
     """
     if amp == 0:
         return 0
-    failed, radius, step = 0, 1, 1
-    c = log_amp + math.log(4 * dim * amp / tol)
+    radius = 1
+    c = log_amp + math.log(4 * dim * amp) - math.log(tol)
     # c > 16 decay means r* > 4: only then can the start save a step
     if c > 16 * decay:
         root = (drift + math.sqrt(drift * drift + 4 * decay * c)) / (2 * decay)
         if root < RADIUS_CAP + 2:
-            failed = math.floor(root) - 2
-            radius = failed + 1
+            radius = math.floor(root) - 1
     while not amp * _tail_majorant(radius, dim, decay, drift, log_amp) <= tol:
         if radius >= RADIUS_CAP:
             raise ResourceError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
-        failed, radius, step = radius, min(radius + step, RADIUS_CAP), 2 * step
-    while radius - failed > 1:
-        mid = (failed + radius) // 2
-        if amp * _tail_majorant(mid, dim, decay, drift, log_amp) <= tol:
-            radius = mid
-        else:
-            failed = mid
+        radius += 1
     return radius
 
 
@@ -513,10 +509,12 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     r_matrix = np.asarray(r_matrix, dtype=float)
     if t_matrix.shape != (n, n) or r_matrix.shape != (n, m):
         raise DomainError("T must be n x n symmetric, R must be n x m")
-    if int(grid_points) != grid_points or grid_points < 1:
+    # the rule of HalfWeight's k: int() would pass 2.0 and read True as 1
+    if (isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer))
+            or grid_points < 1):
         raise DomainError("grid_points must be a positive integer")
 
-    npts = 2 * grid_points
+    npts = 2 * int(grid_points)
     rows, cols = np.triu_indices(n)
     dims = len(rows) + m * n
     idx = np.indices((npts,) * dims).reshape(dims, -1)

@@ -421,6 +421,34 @@ def test_maslov_axioms_makes_one_kernel_call_per_dimension(monkeypatch, count):
         assert calls == {name: dims for name in dim_of}
 
 
+def test_maslov_axioms_checks_exactly_each_cases_lagrangians(monkeypatch):
+    # each dimension's one Lagrangian check gets, in case order, each case's
+    # l1..l6 and, when d = 6, its auxiliary Lagrangian (word 7); word 7 of a
+    # case with d < 6 is g1, whose image of o is Lagrangian too, and is not
+    # checked
+    seen = []
+    check = suites_mod._require_lagrangian
+    monkeypatch.setattr(suites_mod, "_require_lagrangian", lambda b: seen.append(b) or check(b))
+    chain_lengths = set()
+    for count in (1, 5, 17):
+        for seed in range(10):
+            seen.clear()
+            suite_maslov_axioms(seed, count)
+            rng = np.random.default_rng(seed)
+            kept = {1: [], 2: [], 3: []}
+            for _ in range(count):
+                n = (1, 2, 3)[rng.integers(3)]
+                words = [maslov_mod._draw_word(rng, n) for _ in range(7)]
+                d = int(rng.integers(3, 7))
+                words += [maslov_mod._draw_word(rng, n) for _ in range(4 if d == 6 else 3)]
+                kept[n] += words[:6] + words[7:8] * (d == 6)
+                chain_lengths.add(d)
+            want = [_word_products(ws, n) @ maslov_mod._coordinate_basis(n)
+                    for n, ws in kept.items() if ws]
+            assert [b.shape for b in seen] == [b.shape for b in want]
+            assert all((b == w).all() for b, w in zip(seen, want))
+    assert chain_lengths == {3, 4, 5, 6}
+
 def test_axiom_templates_index_each_triple_once():
     # (l1, l2, l3) and the triples that the chain checks share are indexed once
     for d, size in ((3, 18), (4, 19), (5, 21), (6, 23)):

@@ -294,9 +294,18 @@ def test_fourier_constant_function():
                                grid_points=8) == pytest.approx(1.0)
     assert abs(fourier_coefficient(one, np.array([[1.0]]), np.array([[0.0]]), p0,
                                    grid_points=8)) < 1e-12
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, 2.0, True):
         with pytest.raises(DomainError):
             fourier_coefficient(one, np.array([[0.0]]), np.array([[0.0]]), p0, grid_points=bad)
+
+
+def test_fourier_takes_a_numpy_integer_grid():
+    # 2 * np.uint8(128) would wrap to 0: the grid is doubled as a Python int
+    p0 = SiegelJacobiPoint(np.array([[1j]]), np.array([[0j]]))
+    one = lambda omega, z: np.ones(len(omega), complex)
+    for grid in (np.int64(8), np.uint8(128)):
+        assert fourier_coefficient(one, np.array([[0.0]]), np.array([[0.0]]), p0,
+                                   grid_points=grid) == pytest.approx(1.0)
 
 
 def test_fourier_theta_indicator_coefficients():

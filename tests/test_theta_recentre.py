@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import GaussianState, lattice_sum
@@ -36,6 +36,7 @@ def _drifted_points(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_drifted_points())
+@example((0j, 1.0, [0.03125j], [1j], 1e-06))
 def test_drifted_sums_match_mpmath_within_their_bounds(case):
     c, mval, omegas, zs, tol = case
     tv = lattice_sum(GaussianState(c, np.diag(omegas), np.array([zs])), np.array([[mval]]), tol)
@@ -49,10 +50,15 @@ def test_drifted_sums_match_mpmath_within_their_bounds(case):
         err = float(abs(mpmath.mpc(tv.value) - want))
     assert cut.tail_bound <= tol
     assert err <= cut.tail_bound + cut.roundoff_bound
-    # the shift is the lattice point nearest the peak -Im Z / Im Omega
-    centre = [-z.imag / om.imag for om, z in zip(omegas, zs)]
     assert cut.shift.shape == (1, len(zs))
-    assert np.abs(cut.shift - centre).max() <= 0.5 + 1e-9
+    if c == 0:
+        # a zero state has no peak: value 0, both bounds 0, radius 0 and shift 0
+        assert tv.value == 0 and cut.tail_bound == cut.roundoff_bound == 0
+        assert cut.radius == 0 and not cut.shift.any()
+    else:
+        # the shift is the lattice point nearest the peak -Im Z / Im Omega
+        centre = [-z.imag / om.imag for om, z in zip(omegas, zs)]
+        assert np.abs(cut.shift - centre).max() <= 0.5 + 1e-9
 
 
 def _kernel(states, mm, tol):
