@@ -4,7 +4,7 @@ A job is either a JSON JobSpec (via --job FILE or stdin) or a named
 verification suite (--suite NAME --seed N --count N [--tol X]).  Output is a
 single JSON object on stdout, strict JSON (no NaN or infinity); exit codes:
 0 all residuals within tolerance, 1 residual exceeded, 2 usage error,
-3 resource/convergence error or a non-finite number in the result.
+3 resource/convergence error, an overflow inside a job or a non-finite output.
 
 JobSpec: {"command": <name>, "params": {...}, "tol": float, "seed": int}
 with command one of theta, theta-sum, maslov, cocycle, covariance,
@@ -234,7 +234,8 @@ def main(argv=None) -> int:
             return 2
         result, code = run_job(spec)
     # LinAlgError subclasses ValueError, so the resource handler comes first
-    except (ResourceError, ConvergenceError, EigenSolverError, np.linalg.LinAlgError) as exc:
+    except (ResourceError, ConvergenceError, EigenSolverError, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": f"resource: {exc}"}), file=sys.stdout)
         return 3
     except (ValueError, TypeError, KeyError, OSError) as exc:

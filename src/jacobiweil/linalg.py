@@ -49,14 +49,14 @@ def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
     return 0.5 * (a + t)
 
 
-def real_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
+def real_sym(a) -> np.ndarray:
     """Return the symmetrized copy of a real square matrix.
 
     Inputs are averaged with their transpose; an asymmetry defect above
-    ``defect_tol`` (relative to the matrix scale) indicates a caller bug
+    SYM_DEFECT_TOL (relative to the matrix scale) indicates a caller bug
     and raises instead of being silently absorbed.
     """
-    return _sym(_square(a, float), defect_tol)
+    return _sym(_square(a, float), SYM_DEFECT_TOL)
 
 
 def complex_sym(a, defect_tol: float = SYM_DEFECT_TOL) -> np.ndarray:
@@ -150,14 +150,17 @@ def _require_siegel_pair(a: np.ndarray, b: np.ndarray, matrix: str, entries: str
     ``_sym(a)`` and the least eigenvalue of its imaginary part, for one
     complex a (n, n) with b, or each of a stack (k, n, n) with b (k, m, n).
 
-    DomainError unless Im a is positive definite (every eigenvalue above
-    PD_TOL; skipped when pd is False, and the eigenvalue is then NaN) and a
-    and b have finite entries, in that order: "Im(<matrix>) must be positive
-    definite", else "<entries> must have finite entries", prefixed
-    "point i: " for the first bad matrix of a stack, as an asymmetry is.
-    ``_sym`` turns an inf in Re a into a NaN in Im a (0.5 + 0j times inf), so
-    the message reads Im a off the input.
+    DomainError unless n >= 1 ("<matrix> must be n x n with n >= 1", zero
+    states too; a stack of k = 0 points passes), Im a is positive definite
+    (every eigenvalue above PD_TOL; skipped when pd is False, and the
+    eigenvalue is then NaN) and a and b have finite entries, in that order:
+    "Im(<matrix>) must be positive definite", else "<entries> must have finite
+    entries", prefixed "point i: " for the first bad matrix of a stack, as an
+    asymmetry is.  ``_sym`` turns an inf in Re a into a NaN in Im a (0.5 + 0j
+    times inf), so the message reads Im a off the input.
     """
+    if a.shape[-1] == 0:
+        raise DomainError(f"{matrix} must be n x n with n >= 1, got {a.shape}")
     try:
         sym = _sym(a, SYM_DEFECT_TOL)
     except AsymmetryError as exc:

@@ -113,13 +113,13 @@ def l2_norm_sq(state: GaussianState, m_index) -> float:
     return float(abs(state.c) ** 2 * 2 ** (-m * n / 2) * det ** -0.5 * np.exp(2 * np.pi * corr))
 
 
-def sample_grid(m: int, n: int) -> list[np.ndarray]:
-    """The 17 deterministic real sample points of shape (m, n); the first is the origin."""
-    pts = [np.zeros((m, n))]
-    for j in range(1, 17):
-        vec = np.cos(1.7 * j + 0.9 * np.arange(m * n)) * (0.15 + 0.06 * j)
-        pts.append(vec.reshape(m, n))
-    return pts
+def sample_grid(m: int, n: int) -> np.ndarray:
+    """The 17 deterministic real sample points as one (17, m, n) array: the origin,
+    then for j = 1..16 the row-major vector cos(1.7 j + 0.9 k) (0.15 + 0.06 j), k < mn."""
+    j = np.arange(1, 17)[:, None]
+    pts = np.zeros((17, m * n))
+    pts[1:] = np.cos(1.7 * j + 0.9 * np.arange(m * n)) * (0.15 + 0.06 * j)
+    return pts.reshape(17, m, n)
 
 
 def state_distance(f: GaussianState, g: GaussianState, m_index) -> float:

@@ -34,16 +34,16 @@ def rand_sym(rng, n, scale=0.5):
     return 0.5 * (b + b.T)
 
 
-def rand_word(rng, n, max_len=6, scale=0.45, allow_neg_g=True):
+def rand_word(rng, n, max_len=6, allow_neg_g=True):
     word = []
     for _ in range(rng.integers(1, max_len + 1)):
         kind = ("t", "g", "sigma")[rng.integers(3)]
         if kind == "t":
-            word.append(("t", rand_sym(rng, n, scale)))
+            word.append(("t", rand_sym(rng, n, 0.45)))
         elif kind == "g":
-            al = np.eye(n) + scale * rng.normal(size=(n, n))
+            al = np.eye(n) + 0.45 * rng.normal(size=(n, n))
             while not (0.4 < abs(np.linalg.det(al)) < 2.5):
-                al = np.eye(n) + scale * rng.normal(size=(n, n))
+                al = np.eye(n) + 0.45 * rng.normal(size=(n, n))
             if allow_neg_g and rng.random() < 0.25:
                 al = -al
             word.append(("g", al))
@@ -60,9 +60,9 @@ def rand_point(rng, n, m) -> SiegelJacobiPoint:
     return SiegelJacobiPoint(x + 1j * 0.5 * (y + y.T), z)
 
 
-def rand_heisenberg(rng, n, m, scale=0.5) -> HeisenbergElement:
-    lam = scale * rng.normal(size=(m, n))
-    mu = scale * rng.normal(size=(m, n))
+def rand_heisenberg(rng, n, m) -> HeisenbergElement:
+    lam = 0.5 * rng.normal(size=(m, n))
+    mu = 0.5 * rng.normal(size=(m, n))
     kap = rand_sym(rng, m, 1.0) + 0.5 * (lam @ mu.T - mu @ lam.T)
     return HeisenbergElement(lam, mu, kap)
 
@@ -73,24 +73,24 @@ def rand_index(rng, m):
     return 0.5 * (mm + mm.T)
 
 
-def rand_sl2(rng, scale=1.0):
+def rand_sl2(rng):
     while True:
-        a, b, c = rng.normal(size=3) * scale
+        a, b, c = rng.normal(size=3)
         if abs(a) > 1e-3:
             return np.array([[a, b], [c, (1 + b * c) / a]])
 
 
-def rand_gamma04(rng, max_entry=50):
-    """Random element of Gamma_0(4) with entries bounded by max_entry."""
+def rand_gamma04(rng):
+    """Random element of Gamma_0(4) with entries bounded by 50."""
     while True:
-        c = 4 * int(rng.integers(-max_entry // 4, max_entry // 4 + 1))
-        d = int(rng.integers(-max_entry, max_entry + 1))
+        c = 4 * int(rng.integers(-50 // 4, 50 // 4 + 1))
+        d = int(rng.integers(-50, 51))
         if d % 2 == 0 or math.gcd(abs(c), abs(d)) != 1:
             continue
         if c == 0:
             if abs(d) != 1:
                 continue
-            b = int(rng.integers(-max_entry, max_entry + 1))
+            b = int(rng.integers(-50, 51))
             a = d  # ad = 1 with c = 0
             return np.array([[a, b * d], [0, d]])
         # solve a d - b c = 1 with minimal |a|
@@ -101,7 +101,7 @@ def rand_gamma04(rng, max_entry=50):
         b = (a * d - 1) // c
         if a * d - b * c != 1:
             continue
-        if max(abs(a), abs(b)) <= max_entry:
+        if max(abs(a), abs(b)) <= 50:
             return np.array([[a, b], [c, d]])
 
 
@@ -110,8 +110,8 @@ def rand_gamma04(rng, max_entry=50):
 
 def _require_cases(count: int) -> None:
     """Every suite's first check: a suite with no cases would pass having checked
-    nothing, so ``count`` must be positive."""
-    if count < 1:
+    nothing, so ``count`` must be a positive int or numpy integer, not a bool."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count}")
 
 

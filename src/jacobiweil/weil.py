@@ -216,15 +216,11 @@ def sw_iwasawa_apply(m_index, coords: IwasawaCoords, f: GaussianState) -> Gaussi
 
 
 def _iwasawa_letters(coords: IwasawaCoords, n: int) -> list:
-    """The letters t(x I), g(sqrt(y) I), R~(i, theta) of R~(tau, theta), built in
-    ``_letter``'s output form, which that check would return bit for bit: x I
-    is exactly symmetric, and sqrt(y) I is (alpha, det alpha), refused as
-    ``_letter`` refuses it when y^{n/2} < 1e-12."""
-    al = math.sqrt(coords.tau.imag) * np.eye(n)
-    det = np.linalg.det(al)
-    if det < 1e-12:
-        raise DomainError("alpha must be invertible")
-    return [("t", coords.tau.real * np.eye(n)), ("g", (al, det)), ("rot", coords.theta)]
+    """The letters t(x I), g(sqrt(y) I), R~(i, theta) of R~(tau, theta) in
+    ``_letter``'s output form: x I is exactly symmetric, as ``_letter`` would return
+    it, and ``_letter`` checks sqrt(y) I, refusing it when y^{n/2} < 1e-12."""
+    g = _letter("g", math.sqrt(coords.tau.imag) * np.eye(n), n)
+    return [("t", coords.tau.real * np.eye(n)), ("g", g), ("rot", coords.theta)]
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_acceptance_05_theta_laws():
             - theta_M(mm, SiegelJacobiPoint(p.omega, p.z + shift), 1e-13).value))
     worst_mult = 0.0
     for _ in range(100):
-        gam = rand_gamma04(rng, max_entry=50)
+        gam = rand_gamma04(rng)
         tau = complex(rng.normal() * 0.8, 0.5 + rng.random())
         a, b, c, d = (float(v) for v in gam.ravel())
         quot = theta_weight_quarter((a * tau + b) / (c * tau + d), 1e-13) \

@@ -355,7 +355,7 @@ def test_theta_multiplier_c_zero_negative_d():
 
 
 def _rand_jacobi11(rng, scale=0.5):
-    mat = rand_sl2(rng, 1.0)
+    mat = rand_sl2(rng)
     lam, mu, kap = (scale * float(v) for v in rng.normal(size=3))
     return JacobiElement(SymplecticElement(mat),
                          HeisenbergElement(np.array([[lam]]), np.array([[mu]]),

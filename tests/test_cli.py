@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import GaussianState, JacobiElement
@@ -207,6 +207,13 @@ def job_specs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(job_specs())
+# n = 0 is a usage error (exit 2); an overflow inside a job is a resource error (exit 3)
+@example({"command": "theta-sum", "params": {"n": 0, "tau": [0.0, 1.0]}})
+@example({"command": "theta", "params": {"n": 0, "m": 1, "M": [[1.0]], "omega": [], "z": [[]]}})
+@example({"command": "casimir", "params": {"function": "poly-exp", "k": 2, "m": 1,
+                                           "tau": [0.0, 1e300], "z": [0.1, 0.2]}})
+@example({"command": "casimir", "params": {"k": 10 ** 400, "m": 1, "tau": [0.2, 1.1],
+                                           "z": [0.1, 0.2]}})
 def test_cli_contract_property(spec):
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(spec))

@@ -62,6 +62,23 @@ def test_covariant_map_lattice_sum_is_theta(rng):
     assert abs(direct - tv.value) < 1e-10
 
 
+def _sample_grid_as_a_list(m, n):
+    """``sample_grid`` as it was first written: a list of 17 points, one at a time."""
+    pts = [np.zeros((m, n))]
+    for j in range(1, 17):
+        vec = np.cos(1.7 * j + 0.9 * np.arange(m * n)) * (0.15 + 0.06 * j)
+        pts.append(vec.reshape(m, n))
+    return pts
+
+
+def test_sample_grid_is_the_list_grid_bit_for_bit():
+    for m in range(1, 9):
+        for n in range(1, 17):
+            grid, ref = sample_grid(m, n), np.array(_sample_grid_as_a_list(m, n))
+            assert grid.shape == (17, m, n) and grid.dtype == ref.dtype
+            assert grid.tobytes() == ref.tobytes()
+
+
 def test_evaluate_stack_matches_points(rng):
     for _ in range(30):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))

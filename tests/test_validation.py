@@ -23,6 +23,7 @@ from jacobiweil.groups import SymplecticElement, symplectic_form
 from jacobiweil.jacobi_theta import sl2_on_xi
 from jacobiweil.maslov import cocycle_sl2
 from jacobiweil.serialize import decode_real
+from jacobiweil.suites import run_suite
 
 # each entry point fed the symmetric matrix q as the part it checks
 PD_ENTRY_POINTS = {
@@ -296,6 +297,29 @@ def test_half_weight_takes_integer_k_only(k):
     for good in (1, 3, np.int64(2)):
         w = HalfWeight(good, np.eye(1))
         assert w.k == good and type(w.k) is int
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, False, "2", None, 0, -1, np.float64(2.0)])
+def test_suites_take_integer_count_only(count):
+    # HalfWeight's rule: an int or numpy integer that is not a bool, here >= 1
+    with pytest.raises(DomainError) as info:
+        run_suite("cocycles", 0, count)
+    assert str(info.value) == f"count must be a positive integer, got {count}"
+    assert run_suite("cocycles", 0, np.int64(2)) == run_suite("cocycles", 0, 2)
+
+
+def test_points_and_states_need_n_at_least_one():
+    # a zero state (c = 0) skips the positive-definiteness check, not this one
+    refusals = [
+        (lambda: SiegelJacobiPoint(np.zeros((0, 0)), np.zeros((1, 0))), "Omega", (0, 0)),
+        (lambda: SiegelJacobiPoint(np.zeros((3, 0, 0)), np.zeros((3, 1, 0))), "Omega", (3, 0, 0)),
+        (lambda: GaussianState(0, np.zeros((0, 0)), np.zeros((1, 0))), "A", (0, 0)),
+        (lambda: ground_state(0), "A", (0, 0)),
+    ]
+    for build, matrix, shape in refusals:
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == f"{matrix} must be n x n with n >= 1, got {shape}"
 
 
 def test_decode_real():

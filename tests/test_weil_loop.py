@@ -154,6 +154,16 @@ def test_each_function_checks_m_at_most_once(module):
     assert scopes and len(scopes) == len(set(scopes)), scopes
 
 
+def test_only_groups_refuses_a_singular_alpha():
+    # weil takes its g(sqrt(y) I) letter from _letter rather than checking alpha itself
+    holders = sorted(path.name for path in SRC.glob("*.py")
+                     if any(isinstance(node, ast.Constant) and node.value == "alpha must be invertible"
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert holders == ["groups.py"]
+    assert ("_iwasawa_letters", "_letter") in [
+        (scope, name) for scope, name, _ in _calls(SRC / "weil.py", {"_letter"})]
+
+
 def test_only_linalg_reads_the_positive_definiteness_tolerance():
     readers = sorted(path.name for path in SRC.glob("*.py")
                      if any(isinstance(node, (ast.Name, ast.alias)) and "PD_TOL" in
