@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, _integer
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _one_point, sp_act)
 from .linalg import complex_sym, holo_sqrt_det, principal_pow_half
@@ -161,11 +161,7 @@ class HalfWeight:
     m_index: np.ndarray
 
     def __post_init__(self):
-        # int() would truncate 2.7 to 2 and read "3" or True; the rule of maass.multiplicity
-        k = self.k
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise DomainError(f"weight numerator k must be an integer >= 1, got {k!r}")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", _integer("weight numerator k", self.k, 1))
         object.__setattr__(self, "m_index", index_matrix(self.m_index))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .errors import (ConvergenceError, DomainError, EigenSolverError,
-                     ResourceError)
+                     ResourceError, _integer)
 from .groups import IwasawaCoords, SiegelJacobiPoint
 from .jacobi_theta import LatticePair, theta_sum_f
 from .maass import casimir_km, multiplicity, sample_function
@@ -38,14 +38,6 @@ from .weil import covariance_residual
 SCHEMA = "1"
 
 
-# type() rather than isinstance(): JSON true/false decode to bool, an int
-# subclass, and int() would turn 2.7 into 2 and false into 0.
-def _integer(name, value) -> int:
-    if type(value) is not int:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _positive(name, value) -> float:
     value = serialize.decode_real(value)
     if not value > 0:
@@ -56,14 +48,6 @@ def _positive(name, value) -> float:
 def _real_vector(value) -> np.ndarray:
     """A JSON list of reals as a float vector; one bare real is a 1-vector."""
     return serialize.decode_real_matrix([value if isinstance(value, list) else [value]])[0]
-
-
-def _decode_word(spec):
-    if not (isinstance(spec, list)
-            and all(isinstance(item, list) and len(item) == 2 for item in spec)):
-        raise DomainError("word must be a list of [kind, parameter] pairs")
-    return [(kind, None if par is None else serialize.decode_real_matrix(par))
-            for kind, par in spec]
 
 
 def _certification(tv) -> dict:
@@ -125,7 +109,7 @@ def _job_cocycle(params, tol):
 
 def _job_covariance(params, tol):
     mm = serialize.decode_real_matrix(params["M"])
-    word = _decode_word(params["word"])
+    word = serialize.decode_word(params["word"])
     h = serialize.decode_heisenberg(params["heisenberg"])
     p = serialize.decode_point(params["point"])
     branch = params.get("branch", "auto")
@@ -149,15 +133,12 @@ def _job_multiplicity(params, tol):
     taus = params["taus"]
     if not isinstance(taus, list):
         raise DomainError("taus must be a list of integers")
-    val = multiplicity([_integer("taus", t) for t in taus],
-                       _integer("m", params["m"]), _integer("n", params["n"]))
+    val = multiplicity(taus, params["m"], params["n"])
     return {"multiplicity": val}, {}, True
 
 
 def _job_verify_suite(params, tol):
-    report = run_suite(params["name"], _integer("seed", params.get("seed", 0)),
-                       _integer("count", params.get("count", 20)),
-                       None if tol is None else tol)
+    report = run_suite(params["name"], params.get("seed", 0), params.get("count", 20), tol)
     cert = {"max_residual": report["max_residual"], "tol": report["tol"]}
     return report, cert, bool(report["passed"])
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -27,3 +29,14 @@ class ConvergenceError(RuntimeError):
 
 class InvariantViolation(ValueError):
     """A structural invariant that should hold by construction failed."""
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as a Python int: an int or numpy integer that is not a bool (an
+    int subclass, as JSON true and false decode), and at least ``low`` if given.
+    Anything else raises DomainError; int() would truncate 2.7 and read True as 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -159,25 +159,28 @@ def _letter(kind: str, parameter, n: int | None):
     """The checked parameter of a generator letter, for its matrix and its Weil
     operator alike: the symmetrized b of ``"t"`` (``real_sym``), ``(alpha, det
     alpha)`` for a square ``"g"`` with |det alpha| >= 1e-12, or None for
-    ``"sigma"``, which takes no parameter (None, JSON null) and needs n.  With
-    n given, b or alpha must be n x n."""
+    ``"sigma"``, which takes no parameter (None, JSON null) and needs n.  b
+    and alpha must have finite entries, checked before any arithmetic on
+    them.  With n given, b or alpha must be n x n."""
     if kind == "sigma":
         if parameter is not None:
             raise DomainError("sigma generator takes no parameter")
         if n is None:
             raise DomainError("sigma generator needs the dimension n")
         return None
+    if kind not in ("t", "g"):
+        raise DomainError(f"unknown generator kind {kind!r}")
+    par = np.asarray(parameter, dtype=float)
+    if not np.isfinite(par).all():
+        raise DomainError(f"{'b' if kind == 't' else 'alpha'} must have finite entries")
     if kind == "t":
-        par = real_sym(parameter)
-    elif kind == "g":
-        par = np.asarray(parameter, dtype=float)
+        par = real_sym(par)
+    else:
         if par.ndim != 2 or par.shape[0] != par.shape[1]:
             raise DomainError("alpha must be square")
         det = np.linalg.det(par)
         if abs(det) < 1e-12:
             raise DomainError("alpha must be invertible")
-    else:
-        raise DomainError(f"unknown generator kind {kind!r}")
     if n is not None and par.shape[0] != n:
         raise DomainError(f"generator parameter must be {n} x {n}, got shape {par.shape}")
     return par if kind == "t" else (par, det)

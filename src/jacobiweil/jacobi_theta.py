@@ -6,9 +6,11 @@ which SL(2, R) acts linearly by the embedded matrix on the stacked vector;
 these correspond to the Heisenberg row convention through the twist
 (lam, mu) -> (-mu, lam; t) (see tests: all three lattice-group generators
 leave Theta_f conj(Theta_g) invariant in these coordinates, none do without
-the twist).  M = 1 is checked once, at import.  ``theta_state`` applies its
-operators as one letter list (``weil._apply_letters``), and each invariance or
-asymptotic check sums all of its states in one ``theta._lattice_sums`` call.
+the twist).  M = 1 is checked once, at import, for the operator loop; the
+lattice kernel (``theta._lattice_sums``) checks it again on every sum.
+``theta_state`` applies its operators as one letter list
+(``weil._apply_letters``), and each invariance or asymptotic check sums all
+of its states in one ``theta._lattice_sums`` call.
 """
 
 from __future__ import annotations

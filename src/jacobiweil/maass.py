@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, _integer
 
 _STENCILS = {
     0: {0: 1.0},
@@ -124,19 +124,13 @@ def multiplicity(taus, m: int, n: int) -> int:
     s = min(m, n); entries beyond s are zero.  The product is the classical
     weight-multiplicity and must come out a positive integer.
     """
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be positive")
+    m, n = _integer("m", m, 1), _integer("n", n, 1)
     s = min(m, n)
-    # int() would truncate 2.7 to 2; a bool is not a tau entry either
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in taus):
-        raise DomainError(f"tau entries must be integers, got {list(taus)!r}")
-    taus = [int(t) for t in taus]
+    taus = [_integer("tau entry", t, 0) for t in taus]
     if len(taus) > s:
         if any(t != 0 for t in taus[s:]):
             raise DomainError(f"tau entries beyond s = {s} must be zero")
         taus = taus[:s]
-    if any(t < 0 for t in taus):
-        raise DomainError("tau entries must be non-negative")
     if any(taus[i] < taus[i + 1] for i in range(len(taus) - 1)):
         raise DomainError("tau entries must be non-increasing")
     full = taus + [0] * (m - len(taus))

@@ -74,6 +74,18 @@ def decode_complex_matrix(rows, shape: tuple | None = None) -> np.ndarray:
     raise DomainError(f"cannot decode a {shape} complex matrix from {rows!r}")
 
 
+def encode_word(word):
+    """A generator word as a list of [kind, parameter] pairs, a null parameter for sigma."""
+    return [[kind, None if par is None else encode_matrix(par)] for kind, par in word]
+
+
+def decode_word(spec) -> list:
+    if not (isinstance(spec, list)
+            and all(isinstance(item, list) and len(item) == 2 for item in spec)):
+        raise DomainError("word must be a list of [kind, parameter] pairs")
+    return [(kind, None if par is None else decode_real_matrix(par)) for kind, par in spec]
+
+
 def encode_heisenberg(h: HeisenbergElement):
     return {"lambda": encode_matrix(h.lam), "mu": encode_matrix(h.mu),
             "kappa": encode_matrix(h.kappa)}

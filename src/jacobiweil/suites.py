@@ -16,7 +16,7 @@ import numpy as np
 
 from . import serialize
 from .automorphy import slash_km_nh, theta_multiplier
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _require_symplectic, _word_products)
 from .maass import casimir_km, sample_function
@@ -108,11 +108,12 @@ def rand_gamma04(rng):
 # --- suites -----------------------------------------------------------------
 
 
-def _require_cases(count: int) -> None:
-    """Every suite's first check: a suite with no cases would pass having checked
-    nothing, so ``count`` must be a positive int or numpy integer, not a bool."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count}")
+def _draws(seed: int, count: int):
+    """Every suite's first step: ``seed`` >= 0 and ``count`` >= 1 as Python ints
+    (``errors._integer``; a suite with no cases would pass having checked
+    nothing), and the generator of ``seed``."""
+    seed, count = _integer("seed", seed, 0), _integer("count", count, 1)
+    return seed, count, np.random.default_rng(seed)
 
 
 def _report(suite, seed, count, worst, tol, failures, **extras) -> dict:
@@ -226,8 +227,7 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     raises, the cases are run again one at a time, in order, so the error is
     the first case's, as one case at a time would raise it.
     """
-    _require_cases(count)
-    rng = np.random.default_rng(seed)
+    seed, count, rng = _draws(seed, count)
     cases = []
     for _ in range(count):
         n = (1, 2, 3)[rng.integers(3)]
@@ -272,8 +272,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
     ``maslov._indices`` call, and each becomes a ``cocycle_clm`` value by
     ``_cocycle_phase``.
     """
-    _require_cases(count)
-    rng = np.random.default_rng(seed)
+    seed, count, rng = _draws(seed, count)
     failures = []
     worst = 0.0
     ms = np.array([rand_sl2(rng) for _ in range(2 * count)])
@@ -312,8 +311,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
 
 def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
     """Covariance residuals for random generator words at random points."""
-    _require_cases(count)
-    rng = np.random.default_rng(seed)
+    seed, count, rng = _draws(seed, count)
     failures = []
     worst = 0.0
     for i in range(count):
@@ -326,9 +324,10 @@ def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
         res, eps = covariance_residual(mm, word, h, p)
         worst = max(worst, res)
         if res > tol:
+            # M, word, heisenberg and point are the params of a covariance JobSpec
             failures.append({"case": i, "n": n, "residual": res,
-                             "word": [[k, serialize.encode_matrix(v)] if v is not None
-                                      else [k, None] for k, v in word],
+                             "M": serialize.encode_matrix(mm),
+                             "word": serialize.encode_word(word),
                              "heisenberg": serialize.encode_heisenberg(h),
                              "point": serialize.encode_point(p)})
     return _report("covariance", seed, count, worst, tol, failures)
@@ -336,8 +335,7 @@ def suite_covariance(seed: int, count: int, tol: float = 1e-9) -> dict:
 
 def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
     """Siegel-theta translation/inversion laws and the Gamma_0(4) multiplier."""
-    _require_cases(count)
-    rng = np.random.default_rng(seed)
+    seed, count, rng = _draws(seed, count)
     failures = []
     worst_translate = 0.0
     worst_invert = 0.0
@@ -385,8 +383,7 @@ def suite_theta_laws(seed: int, count: int, tol: float = 1e-10) -> dict:
 
 def suite_casimir_invariance(seed: int, count: int, tol: float = 1e-4) -> dict:
     """Relative invariance defect of the weight-(k, m) Casimir at h = 1e-3."""
-    _require_cases(count)
-    rng = np.random.default_rng(seed)
+    seed, count, rng = _draws(seed, count)
     func = sample_function("poly-exp")
     k, m = 3, 2
     failures = []
@@ -431,7 +428,7 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, count: int, tol: float | None = None) -> dict:
-    """The report of suite ``name``; the suite itself refuses a ``count`` below 1."""
+    """The report of suite ``name``; the suite itself checks ``seed`` and ``count``."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     fn = SUITES[name]

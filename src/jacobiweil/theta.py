@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import ConvergenceError, DomainError, ResourceError, _integer
 from .groups import SiegelJacobiPoint, _one_point
 from .states import GaussianState, _index_matrix
 
@@ -42,6 +42,7 @@ RADIUS_CAP = 10_000
 _BLOCK_TERMS = 4096
 _EPS = float(np.finfo(float).eps)
 _LOG_HALF = math.log(0.5)
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows above this
 # a centre this far out is left unshifted: doubles there are at least 1 apart,
 # and the peak of such a sum, exp(pi lambda_min(M) lambda_min(Im A) 2^104) or
 # more, is beyond any float, so its radius search fails either way
@@ -169,6 +170,12 @@ def _walk(radius: int, dim: int, points: int):
     return ((x, np.abs(x).max(axis=0)) for x in _cube_blocks(radius, dim, points))
 
 
+def _require_amplitude(log_re: float) -> None:
+    """ResourceError when |c'| = exp(``log_re``) overflows (``lattice_sum``)."""
+    if log_re > _LOG_MAX:
+        raise ResourceError(f"the re-centred amplitude exp({log_re:.6g}) overflows a float")
+
+
 class _Recentred(NamedTuple):
     """A re-centred stack of states, per state (``_recentre``): B + kA, its
     drift, the amplitude c' = c exp(log_scale), Re log_scale, the rounding
@@ -192,8 +199,8 @@ def _recentre(mm: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """Re-centre the states marked ``far`` on their shift k (``lattice_sum``),
     or None when every k is 0.  A state with k = 0 keeps B, c and its drift
     bit for bit, its Re log_scale and w are 0, and the kernel leaves its
-    roundoff bound as it is.  c' is formed in logs: it is finite whenever the
-    sum is, though c may be tiny where exp(log_scale) overflows."""
+    roundoff bound as it is.  c' is formed in logs, and ResourceError is
+    raised, before any ``exp``, when it overflows a float."""
     m, n = b.shape[-2:]
     lead, dim = b.shape[:-2], m * n
     if dim == 1 and not lead:
@@ -208,6 +215,7 @@ def _recentre(mm: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         log_scale = 1j * math.pi * (mv * k) * (bv + b_new)
         log_c = cmath.log(c.item())
         log_scaled = log_c + log_scale
+        _require_amplitude(log_scaled.real)
         w = 2 * math.pi * abs(mv) * (abs(bv) + abs(k) * abs(av))
         scale_err = _EPS * (7 * abs(k) * w + abs(log_c) + abs(log_scaled) + 7)
         return _Recentred(np.array([[b_new]]), [2 * math.pi * abs(mv * b_new.imag)],
@@ -229,6 +237,7 @@ def _recentre(mm: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                                          (b + b_new).reshape(lead + (dim,)))
     log_c = np.log(c)
     log_scaled = log_c + log_scale
+    _require_amplitude(log_scaled.real.max())
     c_new = np.exp(log_scaled)
     # w = 2 pi sum |M| (|B| + |k| |A|) weighs the rounding of B + kA and of log_scale
     w = 2 * math.pi * np.add.reduce(
@@ -330,18 +339,23 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
         h_abs, c = h_abs + recentred.w, recentred.c
     c = c[..., None]
     total, mass = 0j, 0.0
-    for x, r in _walk(radius, dim, math.prod(lead)):
-        y = coef @ x
-        y += lin
-        y = y.reshape(lead + (2, dim, -1))
-        y *= x
-        z = np.empty(lead + (x.shape[1], 2))
-        np.add.reduce(y, axis=-2, out=z.swapaxes(-1, -2))
-        vals = np.exp(z.view(complex)[..., 0])
-        vals *= c
-        total = total + np.add.reduce(vals, axis=-1)
-        zeta = (g_abs * r + h_abs) * r
-        mass = mass + np.vecdot(np.abs(vals), 1 + zeta + terms)
+    # a sum that overflows raises ResourceError below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, r in _walk(radius, dim, math.prod(lead)):
+            y = coef @ x
+            y += lin
+            y = y.reshape(lead + (2, dim, -1))
+            y *= x
+            z = np.empty(lead + (x.shape[1], 2))
+            np.add.reduce(y, axis=-2, out=z.swapaxes(-1, -2))
+            vals = np.exp(z.view(complex)[..., 0])
+            vals *= c
+            total = total + np.add.reduce(vals, axis=-1)
+            zeta = (g_abs * r + h_abs) * r
+            mass = mass + np.vecdot(np.abs(vals), 1 + zeta + terms)
+    # each weight 1 + zeta + terms is at least 4, so mass >= 4 |total| when finite
+    if not np.isfinite(mass).all():
+        raise ResourceError("the lattice sum or its roundoff bound overflows a float")
 
     roundoff = (dim + (m + 8) / 2) * _EPS * mass
     if recentred is None:
@@ -390,16 +404,17 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     their sum over r > R.  The radius is the least R >= 1 whose majorant,
     times |c|, is at most ``tol`` (``_least_radius``); the amplitude
     |c| exp(Re log_scale) is formed in the exponent, so it cannot overflow on
-    its own.  Raises ResourceError if that R passes the radius cap.
+    its own.  Raises ResourceError if that R passes the radius cap, and when
+    c' (below), the sum or its roundoff bound overflows a float.
 
     Evaluation.  With x = vec(eta) (d = mn entries), term k is
     t_k = c' exp(z_k), where z_k = i sum_i x_i (sum_j G_ij x_j + h_i),
     G = pi M kron A, h = 2 pi vec(M B') and c' = exp(log c + log_scale) (c
-    itself for k = 0): the amplitude is formed in logs, so c' is finite
-    whenever the sum is, though c may be tiny where exp(log_scale)
-    overflows.  The real and imaginary parts are evaluated as real arrays.
-    The cube is walked in lexicographic order, in blocks of at most
-    ``_BLOCK_TERMS`` consecutive points (see ``_cube_blocks``), with one
+    itself for k = 0): the amplitude is formed in logs, so c' fits a float
+    even where c is tiny and exp(log_scale) alone would overflow; a c' that
+    overflows raises first.  The real and imaginary parts are evaluated as
+    real arrays.  The cube is walked in lexicographic order, in blocks of at
+    most ``_BLOCK_TERMS`` consecutive points (see ``_cube_blocks``), with one
     ``exp`` per block.  Each block is reduced by numpy's pairwise ``sum``,
     and the block sums are added to the total in order.
 
@@ -509,12 +524,7 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     r_matrix = np.asarray(r_matrix, dtype=float)
     if t_matrix.shape != (n, n) or r_matrix.shape != (n, m):
         raise DomainError("T must be n x n symmetric, R must be n x m")
-    # the rule of HalfWeight's k: int() would pass 2.0 and read True as 1
-    if (isinstance(grid_points, bool) or not isinstance(grid_points, (int, np.integer))
-            or grid_points < 1):
-        raise DomainError("grid_points must be a positive integer")
-
-    npts = 2 * int(grid_points)
+    npts = 2 * _integer("grid_points", grid_points, 1)
     rows, cols = np.triu_indices(n)
     dims = len(rows) + m * n
     idx = np.indices((npts,) * dims).reshape(dims, -1)

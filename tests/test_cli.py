@@ -14,7 +14,7 @@ from jacobiweil import GaussianState, JacobiElement
 from jacobiweil import serialize
 from jacobiweil.cli import main, run_job
 from jacobiweil.maslov import random_symplectic
-from jacobiweil.suites import SUITES, rand_heisenberg, rand_point
+from jacobiweil.suites import SUITES, rand_heisenberg, rand_point, rand_word, run_suite
 
 
 def test_serialize_roundtrips(rng):
@@ -30,6 +30,23 @@ def test_serialize_roundtrips(rng):
     f = GaussianState(0.3 - 0.2j, 1j * np.eye(2), np.ones((1, 2)) * (1 + 2j))
     f2 = serialize.decode_state(serialize.encode_state(f))
     assert f2.c == f.c and np.allclose(f2.a, f.a) and np.allclose(f2.b, f.b)
+    word = rand_word(rng, 2)
+    word2 = serialize.decode_word(json.loads(json.dumps(serialize.encode_word(word))))
+    assert [k for k, _ in word2] == [k for k, _ in word]
+    assert all((a is None and b is None) or np.array_equal(a, b)
+               for (_, a), (_, b) in zip(word, word2))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_covariance_suite_failures_replay_as_jobs(seed):
+    # at tol 0 every case fails; a failure's M, word, heisenberg and point are
+    # the params of a covariance JobSpec, whose residual has the same bits
+    failures = json.loads(json.dumps(run_suite("covariance", seed, 3, 0.0)["failures"]))
+    assert len(failures) == 3
+    for failure in failures:
+        params = {key: failure[key] for key in ("M", "word", "heisenberg", "point")}
+        result, code = run_job({"command": "covariance", "params": params})
+        assert code == 0 and result["outputs"]["residual"] == failure["residual"]
 
 
 def test_run_job_theta():

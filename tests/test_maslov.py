@@ -489,7 +489,7 @@ def test_suites_refuse_no_cases(monkeypatch, name):
     for count in (0, -1):
         with pytest.raises(DomainError) as info:
             SUITES[name](0, count)
-        assert str(info.value) == f"count must be a positive integer, got {count}"
+        assert str(info.value) == f"count must be an integer >= 1, got {count!r}"
     assert made == []
 
 

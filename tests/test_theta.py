@@ -82,6 +82,29 @@ def test_theta_M_resource_error():
         theta_M(mm, p, 1e-12)
 
 
+def test_overflowing_sums_raise_resource_error():
+    # the value is about e^785: its re-centred amplitude exp(785.398) overflows
+    # before any exp is taken (a NaN value and roundoff bound before), and the
+    # suite's filterwarnings = error shows that no numpy warning is emitted
+    far = (-0.42 + 0.001j, 0.3 + 0.5j)
+    with pytest.raises(ResourceError) as info:
+        theta_M([[1]], SiegelJacobiPoint([[far[0]]], [[far[1]]]), 1e-10)
+    assert str(info.value) == "the re-centred amplitude exp(785.398) overflows a float"
+    # in a stack, beside a point that fits
+    with pytest.raises(ResourceError):
+        theta_M([[1]], SiegelJacobiPoint(np.array([[[1j]], [[far[0]]]]),
+                                         np.array([[[0j]], [[far[1]]]])), 1e-10)
+    # an unshifted sum whose value (c = 1.7e308) or roundoff bound (c = 1e308)
+    # overflows; c = 1e300 still sums
+    for c in (1.7e308, 1e308):
+        with pytest.raises(ResourceError) as info:
+            lattice_sum(GaussianState(c, [[1j]], [[0j]]), [[1]], 1e-10)
+        assert str(info.value) == "the lattice sum or its roundoff bound overflows a float"
+    tv = lattice_sum(GaussianState(1e300, [[1j]], [[0j]]), [[1]], 1e-10)
+    assert abs(tv.value / 1e300 - SIEGEL_AT_I) < 1e-15
+    assert math.isfinite(tv.truncation.roundoff_bound)
+
+
 def test_siegel_theta_anchor():
     v = siegel_theta(np.array([[1j]]), 1e-12)
     assert abs(v.value - SIEGEL_AT_I) < 1e-9

@@ -4,6 +4,7 @@ letter check behind five more, one reader of JSON reals, the finite-entry
 check of a Lagrangian, and the stacked symplectic and Lagrangian rules, which
 decide each matrix of a stack as the one-object constructors do."""
 
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 
 from jacobiweil import (AsymmetryError, DomainError, GaussianState, HalfWeight,
                         HeisenbergElement, IwasawaCoords, Lagrangian, LatticePair,
-                        SiegelJacobiPoint, covariance_residual,
-                        embed_sl2, ground_state, heis_identity, holo_sqrt_det,
-                        index_matrix, iwasawa_sl2, sl2_act_circle, sp_generator,
-                        weil_apply_word, weil_generator_apply, word_to_symplectic)
+                        SiegelJacobiPoint, covariance_residual, embed_sl2,
+                        fourier_coefficient, ground_state, heis_identity, holo_sqrt_det,
+                        index_matrix, iwasawa_sl2, multiplicity, sl2_act_circle,
+                        sp_generator, weil_apply_word, weil_generator_apply,
+                        word_to_symplectic)
 import jacobiweil.groups as groups_mod
 import jacobiweil.maslov as maslov_mod
 from jacobiweil.errors import InvariantViolation
@@ -23,7 +25,7 @@ from jacobiweil.groups import SymplecticElement, symplectic_form
 from jacobiweil.jacobi_theta import sl2_on_xi
 from jacobiweil.maslov import cocycle_sl2
 from jacobiweil.serialize import decode_real
-from jacobiweil.suites import run_suite
+from jacobiweil.suites import SUITES, run_suite
 
 # each entry point fed the symmetric matrix q as the part it checks
 PD_ENTRY_POINTS = {
@@ -111,6 +113,11 @@ BAD_LETTERS = {
     "sigma with a parameter": (("sigma", [[5.0, 1.0], [1.0, 5.0]]),
                                "sigma generator takes no parameter"),
 }
+# a non-finite b or alpha is refused before any arithmetic on it
+for _name, _bad in (("NaN", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+    BAD_LETTERS[f"b {_name}"] = (("t", [[0.5, 0.0], [0.0, _bad]]), "b must have finite entries")
+    BAD_LETTERS[f"alpha {_name}"] = (("g", [[1.0, _bad], [0.0, 1.0]]),
+                                     "alpha must have finite entries")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LETTERS))
@@ -290,7 +297,7 @@ def test_functions_of_one_point_refuse_a_stack(name):
 
 @pytest.mark.parametrize("k", [2.7, 3.0, True, False, "3", None, 0, -1, np.float64(2.0)])
 def test_half_weight_takes_integer_k_only(k):
-    # the rule of maass.multiplicity: an integer that is not a bool, here >= 1
+    # errors._integer: an int or numpy integer that is not a bool, here >= 1
     with pytest.raises(DomainError) as info:
         HalfWeight(k, np.eye(1))
     assert str(info.value) == f"weight numerator k must be an integer >= 1, got {k!r}"
@@ -301,11 +308,49 @@ def test_half_weight_takes_integer_k_only(k):
 
 @pytest.mark.parametrize("count", [2.5, 2.0, True, False, "2", None, 0, -1, np.float64(2.0)])
 def test_suites_take_integer_count_only(count):
-    # HalfWeight's rule: an int or numpy integer that is not a bool, here >= 1
+    # errors._integer: an int or numpy integer that is not a bool, here >= 1
     with pytest.raises(DomainError) as info:
         run_suite("cocycles", 0, count)
-    assert str(info.value) == f"count must be a positive integer, got {count}"
+    assert str(info.value) == f"count must be an integer >= 1, got {count!r}"
     assert run_suite("cocycles", 0, np.int64(2)) == run_suite("cocycles", 0, 2)
+
+
+def _one(omega, z):
+    return np.ones(len(omega), complex)
+
+
+# the other inputs under errors._integer (HalfWeight's k and a suite's count
+# have the two tests above): its name in the message, its least value, and a
+# call that passes it in
+INTEGER_INPUTS = {
+    "suite seed": ("seed", 0, lambda v: run_suite("cocycles", v, 2)),
+    "grid_points": ("grid_points", 1, lambda v: fourier_coefficient(
+        _one, np.zeros((1, 1)), np.zeros((1, 1)),
+        SiegelJacobiPoint(np.array([[1j]]), np.array([[0j]])), v)),
+    "tau entry": ("tau entry", 0, lambda v: multiplicity([v, 0], 2, 2)),
+    "multiplicity m": ("m", 1, lambda v: multiplicity([0], v, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", None, np.float64(2.0), "low"])
+@pytest.mark.parametrize("field", sorted(INTEGER_INPUTS))
+def test_integer_inputs_take_one_rule(field, value):
+    name, low, call = INTEGER_INPUTS[field]
+    if value == "low":
+        value = low - 1
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an integer >= {low}, got {value!r}"
+    # a numpy integer passes as the Python int of the same value
+    for good in (low, low + 2):
+        assert call(np.int64(good)) == call(good)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_reports_are_json_ready_at_numpy_integers(name):
+    report = run_suite(name, np.int64(3), np.int64(2))
+    assert json.loads(json.dumps(report)) == report == run_suite(name, 3, 2)
+    assert type(report["seed"]) is int and type(report["count"]) is int
 
 
 def test_points_and_states_need_n_at_least_one():
