@@ -25,15 +25,19 @@ COVER_TOL = 1e-10
 
 
 def jfac(g: SymplecticElement, omega) -> np.ndarray:
-    """C Omega + D."""
+    """C Omega + D; Omega must have finite entries."""
+    omega = complex_sym(omega)
+    if not np.isfinite(omega).all():
+        raise DomainError("Omega must have finite entries")
     _, _, c, d = g.blocks
-    return c @ complex_sym(omega) + d
+    return c @ omega + d
 
 
-def _index_exponents(mm, g: SymplecticElement, h: HeisenbergElement,
-                     p: SiegelJacobiPoint) -> tuple[complex, complex]:
-    """The exponents of the index-M factors: with W = Z + lam O + mu,
-    e1 = tr(M W (CO+D)^{-1} C W^T) and
+def _index_factor(mm: np.ndarray, g: SymplecticElement, h: HeisenbergElement,
+                  p: SiegelJacobiPoint, s: float = 1.0, lift=None, power: int = 0) -> complex:
+    """The index-M exponentials exp(2 pi i s e1) exp(-2 pi i s e2), times
+    J_half(lift, O)^power when a lift is given, with M already checked: with
+    W = Z + lam O + mu, e1 = tr(M W (CO+D)^{-1} C W^T) and
     e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T))."""
     lam, mu, kap = h.lam, h.mu, h.kappa
     omega, z = _one_point(p).omega, p.z
@@ -41,34 +45,40 @@ def _index_exponents(mm, g: SymplecticElement, h: HeisenbergElement,
     w = z + lam @ omega + mu
     e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
     e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
-    return e1, e2
+    val = np.exp(2j * np.pi * s * e1) * np.exp(-2j * np.pi * s * e2)
+    if lift is not None:
+        val = val * J_half(lift, omega) ** power
+    return complex(val)
 
 
 def J_M(m_index, elt: JacobiElement, p: SiegelJacobiPoint) -> complex:
     """Index-M factor: exp(2 pi i tr(M[Z+lam O+mu](CO+D)^{-1}C)) *
     exp(-2 pi i tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T)))."""
-    mm = index_matrix(m_index)
-    e1, e2 = _index_exponents(mm, elt.g, elt.h, p)
-    return complex(np.exp(2j * np.pi * e1) * np.exp(-2j * np.pi * e2))
+    return _index_factor(index_matrix(m_index), elt.g, elt.h, p)
 
 
 def gamma_pair(omega1, omega2) -> complex:
     """det^{-1/2}((O1 - conj(O2))/2i) (det Im O1)^{1/4} (det Im O2)^{1/4}.
 
     The determinant argument has real part (Im O1 + Im O2)/2, positive
-    definite, so the holomorphic branch is unambiguous.
+    definite, so the holomorphic branch is unambiguous.  Each det Im O must be
+    positive and finite; an indefinite Im O of positive determinant (n >= 2)
+    is not caught.
     """
     omega1 = complex_sym(omega1)
     omega2 = complex_sym(omega2)
     arg = (omega1 - omega2.conj()) / 2j
-    quarters = (np.linalg.det(omega1.imag) * np.linalg.det(omega2.imag)) ** 0.25
+    y1, y2 = np.linalg.det(omega1.imag), np.linalg.det(omega2.imag)
+    if not (0 < y1 < np.inf and 0 < y2 < np.inf):
+        raise DomainError("det Im Omega must be positive and finite")
+    quarters = (y1 * y2) ** 0.25
     return complex(quarters / holo_sqrt_det(arg))
 
 
 def epsilon_g(g: SymplecticElement, omega1, omega2) -> complex:
     """gamma(g.O1, g.O2) / gamma(O1, O2); unit modulus."""
     val = gamma_pair(sp_act(g, omega1), sp_act(g, omega2)) / gamma_pair(omega1, omega2)
-    if abs(abs(val) - 1.0) > 1e-8:
+    if not abs(abs(val) - 1.0) <= 1e-8:
         raise InvariantViolation(f"epsilon modulus defect {abs(val) - 1.0:.2e}")
     return val / abs(val)
 
@@ -148,9 +158,9 @@ def metaplectic_lifts(g: SymplecticElement) -> tuple[MetaplecticElement, Metaple
 def J_half(elt: MetaplecticElement, omega) -> complex:
     """Half-weight factor eps^{-1} epsilon(g; O, iI) |det J(g, O)|^{1/2};
     squares to det(C O + D)."""
-    n = elt.n
-    e = epsilon_g(elt.g, omega, 1j * np.eye(n))
-    return complex(elt.eps ** -1 * e * abs(np.linalg.det(jfac(elt.g, omega))) ** 0.5)
+    scale = abs(np.linalg.det(jfac(elt.g, omega))) ** 0.5
+    e = epsilon_g(elt.g, omega, 1j * np.eye(elt.n))
+    return complex(elt.eps ** -1 * e * scale)
 
 
 @dataclass(frozen=True)
@@ -168,19 +178,14 @@ class HalfWeight:
 def J_kM_half(weight: HalfWeight, elt: MetaplecticElement, h: HeisenbergElement,
               p: SiegelJacobiPoint) -> complex:
     """Half-integral Jacobi factor: the index-M exponentials times J_{1/2}^k."""
-    e1, e2 = _index_exponents(weight.m_index, elt.g, h, p)
-    return complex(np.exp(2j * np.pi * e1) * np.exp(-2j * np.pi * e2)
-                   * J_half(elt, p.omega) ** weight.k)
+    return _index_factor(weight.m_index, elt.g, h, p, lift=elt, power=weight.k)
 
 
 def J_star_M(m_index, elt: MetaplecticElement, h: HeisenbergElement,
              p: SiegelJacobiPoint) -> complex:
     """Covariance factor: pi-i-normalized exponentials times J_{1/2}^m."""
     mm = index_matrix(m_index)
-    m = mm.shape[0]
-    e1, e2 = _index_exponents(mm, elt.g, h, p)
-    return complex(np.exp(1j * np.pi * e1) * np.exp(-1j * np.pi * e2)
-                   * J_half(elt, p.omega) ** m)
+    return _index_factor(mm, elt.g, h, p, s=0.5, lift=elt, power=mm.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,8 @@ def theta_multiplier(gamma, tau: complex) -> complex:
         if not np.allclose(gamma, np.round(gamma)):
             raise DomainError("gamma must be an integer matrix")
         gamma = np.round(gamma).astype(int)
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise DomainError(f"tau must lie in the upper half plane, got {tau!r}")
     a, b, c, d = (int(v) for v in gamma.ravel())
     if a * d - b * c != 1:
         raise DomainError("gamma must have determinant 1")

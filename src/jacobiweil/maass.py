@@ -61,10 +61,18 @@ def wirtinger_partial(func, tau, z, letters, h):
     return sum(c * _real_partial(func, point, o, h) for o, c in acc.items())
 
 
+def _check_step(h: float, tau: complex, reach: int) -> None:
+    """The step rule of the finite differences: h in (0, inf), and a stencil
+    that reaches ``reach`` steps from tau stays in the upper half plane."""
+    if not 0 < h < math.inf:
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
+    if tau.imag <= reach * h:
+        raise DomainError("step too large relative to Im(tau)")
+
+
 def laplace_beltrami_half(func, k: int, tau: complex, h: float = 1e-3) -> complex:
     """y^2 (f_xx + f_yy) - i (k - 1/2) y f_x by central differences."""
-    if tau.imag <= 4 * h:
-        raise DomainError("step too large relative to Im(tau)")
+    _check_step(h, tau, 4)
     point = (tau.real, tau.imag, 0.0, 0.0)
     f2 = lambda t, _z: func(t)
     fxx = _real_partial(f2, point, (2, 0, 0, 0), h)
@@ -85,10 +93,7 @@ def casimir_km(func, k: int, m: int, tau: complex, z: complex, h: float = 1e-3) 
     """
     if m <= 0:
         raise DomainError("index m must be positive")
-    if not 0 < h < math.inf:
-        raise DomainError(f"step h must be positive and finite, got {h!r}")
-    if tau.imag <= 8 * h:
-        raise DomainError("step too large relative to Im(tau)")
+    _check_step(h, tau, 8)
     d = lambda *letters: wirtinger_partial(func, tau, z, letters, h)
     tt = tau - np.conj(tau)
     zz = z - np.conj(z)

@@ -43,8 +43,16 @@ def encode_matrix(a):
     return [[float(v) for v in row] for row in a]
 
 
+def _rows(rows) -> list:
+    """A JSON matrix's rows: a list of lists of one length; anything else raises DomainError."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and len({len(row) for row in rows}) <= 1):
+        raise DomainError(f"expected a matrix as a list of rows of equal length, got {rows!r}")
+    return rows
+
+
 def decode_real_matrix(rows) -> np.ndarray:
-    return np.array([[decode_real(v) for v in row] for row in rows], dtype=float)
+    return np.array([[decode_real(v) for v in row] for row in _rows(rows)], dtype=float)
 
 
 def decode_complex_matrix(rows, shape: tuple | None = None) -> np.ndarray:
@@ -54,9 +62,9 @@ def decode_complex_matrix(rows, shape: tuple | None = None) -> np.ndarray:
     match is re-read by pairing consecutive scalars as (re, im); this accepts
     the shorthand [[0, 1]] for the 1x1 matrix [[i]].
     """
+    rows = _rows(rows)
     try:
-        out = np.array([[decode_complex(v) for v in row] for row in rows],
-                       dtype=complex)
+        out = np.array([[decode_complex(v) for v in row] for row in rows], dtype=complex)
     except DomainError:
         out = None
     if shape is None:
@@ -80,10 +88,13 @@ def encode_word(word):
 
 
 def decode_word(spec) -> list:
+    """The letters (kind, parameter) of a JSON word.  A sigma parameter is passed on
+    as read, for ``groups._letter`` to refuse anything but null."""
     if not (isinstance(spec, list)
             and all(isinstance(item, list) and len(item) == 2 for item in spec)):
         raise DomainError("word must be a list of [kind, parameter] pairs")
-    return [(kind, None if par is None else decode_real_matrix(par)) for kind, par in spec]
+    return [(kind, par if par is None or kind == "sigma" else decode_real_matrix(par))
+            for kind, par in spec]
 
 
 def encode_heisenberg(h: HeisenbergElement):

@@ -75,7 +75,11 @@ def evaluate(state: GaussianState, m_index, x):
     stack of points of shape (..., m, n), which gives an array of shape
     (...): M is validated once and the whole stack is one numpy pass.
     """
-    mm = index_matrix(m_index)
+    return _evaluate(state, index_matrix(m_index), x)
+
+
+def _evaluate(state: GaussianState, mm: np.ndarray, x):
+    """``evaluate`` with M already checked."""
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != state.shape:
         raise DomainError(f"sample point must have shape {state.shape}")
@@ -83,9 +87,8 @@ def evaluate(state: GaussianState, m_index, x):
     return state.c * np.exp(1j * np.pi * np.trace(mm @ quad, axis1=-2, axis2=-1))
 
 
-def covariant_map(m_index, p: SiegelJacobiPoint) -> GaussianState:
-    """The Gaussian attached to (Omega, Z), one point: amplitude 1, A = Omega, B = Z."""
-    index_matrix(m_index)
+def covariant_map(p: SiegelJacobiPoint) -> GaussianState:
+    """The Gaussian of one point (Omega, Z), the same for every index M: (1, Omega, Z)."""
     return GaussianState(1.0, _one_point(p).omega, p.z)
 
 
@@ -130,7 +133,7 @@ def state_distance(f: GaussianState, g: GaussianState, m_index) -> float:
     """
     if f.shape != g.shape:
         raise DomainError("shape mismatch")
-    grid = sample_grid(*f.shape)
-    point = np.abs(evaluate(f, m_index, grid) - evaluate(g, m_index, grid)).max()
+    mm, grid = index_matrix(m_index), sample_grid(*f.shape)
+    point = np.abs(_evaluate(f, mm, grid) - _evaluate(g, mm, grid)).max()
     par = max(np.max(np.abs(f.a - g.a)), np.max(np.abs(f.b - g.b)), abs(f.c - g.c))
     return float(max(point, par))

@@ -37,13 +37,13 @@ import math
 
 import numpy as np
 
-from .automorphy import J_star_M, MetaplecticElement, metaplectic_lifts
+from .automorphy import MetaplecticElement, _index_factor, metaplectic_lifts
 from .errors import DomainError
 from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _letter, _one_point, _word_products,
                      jacobi_act)
 from .linalg import SYM_DEFECT_TOL, _sym, holo_sqrt_det, principal_pow_half
-from .states import (GaussianState, covariant_map, evaluate, index_matrix,
+from .states import (GaussianState, _evaluate, covariant_map, index_matrix,
                      sample_grid)
 
 # Exponent scales of the frozen Schroedinger-Weil package, in units of the
@@ -245,15 +245,14 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     m, n = _one_point(p).m, p.n
     letters = [(kind, _letter(kind, par, n)) for kind, par in word]
     g = SymplecticElement(_word_products([letters], n)[0])
-    f = covariant_map(mm, p)
-    st = _apply_letters(mm, letters + [("heis", (h, SW_SCALE))], f)
-    target = covariant_map(mm, jacobi_act(JacobiElement(g, h), p))
+    st = _apply_letters(mm, letters + [("heis", (h, SW_SCALE))], covariant_map(p))
+    target = covariant_map(jacobi_act(JacobiElement(g, h), p))
     grid = sample_grid(m, n)
     # each state once over the whole grid; the two lifts differ only in js
-    lhs = evaluate(st, mm, grid)
-    rhs = evaluate(target, mm, grid)
+    lhs = _evaluate(st, mm, grid)
+    rhs = _evaluate(target, mm, grid)
     lift = metaplectic_lifts(g)[0] if branch == "auto" else MetaplecticElement(g, complex(branch))
-    js = J_star_M(mm, lift, h, p)
+    js = _index_factor(mm, g, h, p, s=0.5, lift=lift, power=m)
     res = float(np.abs(lhs - rhs / js).max())
     if branch == "auto":
         other = float(np.abs(lhs - rhs / ((-1) ** m * js)).max())

@@ -119,6 +119,24 @@ def test_alpha_examples(rng):
     assert alpha_factor(sp_generator("sigma", n=n), 1j * np.eye(n)) == pytest.approx(1j ** n)
 
 
+def test_factors_refuse_a_bad_omega():
+    # a negative det Im Omega has no real quarter power, and a NaN Omega no det
+    t1 = sp_generator("t", [[1.0]])
+    bad = {
+        "gamma_pair": (lambda: gamma_pair([[-0.5j]], [[2j]]),
+                       "det Im Omega must be positive and finite"),
+        "epsilon_g": (lambda: epsilon_g(t1, [[-0.5j]], [[2j]]),
+                      "det Im Omega must be positive and finite"),
+        "alpha_factor": (lambda: alpha_factor(t1, [[math.nan]]), "Omega must have finite entries"),
+        "J_half": (lambda: J_half(metaplectic_lifts(t1)[0], [[math.nan]]),
+                   "Omega must have finite entries"),
+    }
+    for name, (call, message) in bad.items():
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message, name
+
+
 def test_beta_squared_alpha_relation(rng):
     for _ in range(30):
         n = int(rng.choice([1, 2]))
@@ -330,6 +348,11 @@ def test_theta_multiplier_examples():
     assert theta_multiplier(np.array([[1, 1], [0, 1]]), 0.3 + 1.1j) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         theta_multiplier(np.array([[1, 0], [2, 1]]), 1j)
+    # tau off the upper half plane: on the real line c tau + d can vanish
+    for tau in (-0.25, 0.3 - 1j, complex(math.nan, 1.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError) as info:
+            theta_multiplier(np.array([[1, 0], [4, 1]]), tau)
+        assert str(info.value) == f"tau must lie in the upper half plane, got {tau!r}"
 
 
 def test_theta_multiplier_quotient_oracle(rng):

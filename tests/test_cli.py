@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jacobiweil import GaussianState, JacobiElement
+from jacobiweil import DomainError, GaussianState, JacobiElement
 from jacobiweil import serialize
 from jacobiweil.cli import main, run_job
 from jacobiweil.maslov import random_symplectic
@@ -198,6 +198,17 @@ VALID_PARAMS = {
                 "h": 1e-3},
     "multiplicity": {"m": 2, "n": 2, "taus": [2, 0]},
 }
+# JSON matrices and words that are not lists, with the usage message of each
+_ROWS = "expected a matrix as a list of rows of equal length, got "
+NOT_LISTS = [
+    ({"M": 3}, _ROWS + "3"),
+    ({"M": [[1.0], [1.0, 2.0]]}, _ROWS + "[[1.0], [1.0, 2.0]]"),
+    ({"point": {"omega": 3, "z": [[[0.1, 0.3]]]}}, _ROWS + "3"),
+    ({"point": {"omega": [[[0.1, 1.2]], []], "z": [[[0.1, 0.3]]]}}, _ROWS + "[[[0.1, 1.2]], []]"),
+    ({"word": [["sigma", 0]]}, "sigma generator takes no parameter"),
+]
+_NOT_LIST_SPECS = [{"command": "covariance", "params": dict(VALID_PARAMS["covariance"], **change)}
+                   for change, _ in NOT_LISTS]
 _SCALARS = (st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-4, 4)
             | st.sampled_from(["", "sl2", "clm", "t", "g", "sigma", "constant", *SUITES]))
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
@@ -231,6 +242,11 @@ def job_specs(draw):
                                            "tau": [0.0, 1e300], "z": [0.1, 0.2]}})
 @example({"command": "casimir", "params": {"k": 10 ** 400, "m": 1, "tau": [0.2, 1.1],
                                            "z": [0.1, 0.2]}})
+@example(_NOT_LIST_SPECS[0])
+@example(_NOT_LIST_SPECS[1])
+@example(_NOT_LIST_SPECS[2])
+@example(_NOT_LIST_SPECS[3])
+@example(_NOT_LIST_SPECS[4])
 def test_cli_contract_property(spec):
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(spec))
@@ -249,6 +265,29 @@ def test_cli_contract_property(spec):
         assert code in (2, 3)
     else:
         assert code == (0 if doc["passed"] else 1)
+
+
+@pytest.mark.parametrize("k", range(len(NOT_LISTS)))
+def test_cli_refuses_matrices_and_words_that_are_not_lists(k, capsys):
+    sys.stdin, saved = io.StringIO(json.dumps(_NOT_LIST_SPECS[k])), sys.stdin
+    try:
+        assert main(["--job", "-"]) == 2
+    finally:
+        sys.stdin = saved
+    error = f"usage: {NOT_LISTS[k][1]}"
+    assert json.loads(capsys.readouterr().out) == {"schema": "1", "error": error}
+
+
+def test_serialize_refuses_matrices_and_words_that_are_not_lists():
+    for decode in (serialize.decode_real_matrix, serialize.decode_complex_matrix):
+        for rows in (3, [[1.0], [1.0, 2.0]], [1.0, 2.0], "ab"):
+            with pytest.raises(DomainError) as info:
+                decode(rows)
+            assert str(info.value) == _ROWS + repr(rows)
+    with pytest.raises(DomainError) as info:
+        serialize.decode_complex_matrix([[0.0], [1.0, 2.0]], (1, 1))
+    assert str(info.value) == _ROWS + "[[0.0], [1.0, 2.0]]"
+    assert serialize.decode_word([["sigma", 0]]) == [("sigma", 0)]
 
 
 def _strict_json(text):

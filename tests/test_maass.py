@@ -63,6 +63,11 @@ def test_laplace_exponential_sample():
 def test_laplace_step_guard():
     with pytest.raises(DomainError):
         laplace_beltrami_half(lambda t: 1.0, 2, 0.2 + 0.001j, h=1e-3)
+    # the step rule of casimir_km: h = 0 would divide by zero, and h = nan gives nan
+    for h in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(DomainError) as info:
+            laplace_beltrami_half(lambda t: 1.0, 2, 0.2 + 1.1j, h)
+        assert str(info.value) == f"step h must be positive and finite, got {h!r}"
 
 
 # --- Casimir ------------------------------------------------------------------------
@@ -176,8 +181,9 @@ def test_casimir_step_guard():
         casimir_km(sample_function("constant"), 2, 0, 1j, 0.0j, h=1e-3)
     # the step must be positive and finite; h = 0 would divide by zero
     for h in (0.0, -1e-3, math.inf, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             casimir_km(sample_function("constant"), 2, 1, 0.2 + 1.1j, 0.1 + 0.2j, h)
+        assert str(info.value) == f"step h must be positive and finite, got {h!r}"
 
 
 def _ssyt_count(shape, m):

@@ -39,7 +39,7 @@ def rand_state(rng, n, m):
 
 
 def test_covariant_map_at_base_point():
-    f = covariant_map(np.eye(1), SiegelJacobiPoint(1j * np.eye(1), np.zeros((1, 1))))
+    f = covariant_map(SiegelJacobiPoint(1j * np.eye(1), np.zeros((1, 1))))
     # the standard Gaussian exp(-pi x^2)
     for x in (0.0, 0.5, -1.2):
         assert evaluate(f, np.eye(1), np.array([[x]])) == pytest.approx(math.exp(-math.pi * x * x))
@@ -47,7 +47,7 @@ def test_covariant_map_at_base_point():
 
 def test_covariant_map_domain(rng):
     p = rand_point(rng, 2, 2)
-    f = covariant_map(rand_index(rng, 2), p)
+    f = covariant_map(p)
     assert np.allclose(f.a, p.omega)
     assert np.allclose(f.b, p.z)
     assert np.linalg.eigvalsh(f.a.imag).min() > 0
@@ -56,7 +56,7 @@ def test_covariant_map_domain(rng):
 def test_covariant_map_lattice_sum_is_theta(rng):
     mm = rand_index(rng, 1)
     p = rand_point(rng, 1, 1)
-    f = covariant_map(mm, p)
+    f = covariant_map(p)
     direct = sum(evaluate(f, mm, np.array([[float(a)]])) for a in range(-25, 26))
     tv = theta_M(mm, p, 1e-11)
     assert abs(direct - tv.value) < 1e-10
@@ -209,7 +209,7 @@ def test_g_alpha_transports_covariant_state(rng):
     mm = rand_index(rng, 1)
     p = rand_point(rng, 2, 1)
     al = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
-    out = weil_generator_apply(mm, ("g", al), covariant_map(mm, p))
+    out = weil_generator_apply(mm, ("g", al), covariant_map(p))
     assert np.allclose(out.a, al.T @ p.omega @ al, atol=1e-12)
     assert np.allclose(out.b, p.z @ al, atol=1e-12)
 
@@ -395,11 +395,11 @@ def test_calibration_regression(rng):
     h = rand_heisenberg(rng, 2, 1)
     assert covariance_residual(mm, [("t", np.eye(2) * 0.4)], h, p)[0] < 1e-10
     # classical-scale Heisenberg action fails covariance: x-dependent defect
-    f = covariant_map(mm, p)
+    f = covariant_map(p)
     from jacobiweil import JacobiElement, SymplecticElement, jacobi_act
     st = schrodinger_apply(mm, h, f, scale=1.0)
     elt = JacobiElement(SymplecticElement(np.eye(4)), h)
-    target = covariant_map(mm, jacobi_act(elt, p))
+    target = covariant_map(jacobi_act(elt, p))
     from jacobiweil.automorphy import J_star_M, metaplectic_lifts
     lift, _ = metaplectic_lifts(SymplecticElement(np.eye(4)))
     js = J_star_M(mm, lift, h, p)

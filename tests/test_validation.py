@@ -277,7 +277,7 @@ def _single_point_calls():
         "J_star_M": lambda p: J_star_M(mm, lift, h, p),
         "kappa_density": lambda p: kappa_density(mm, p),
         "invariant_volume_density": lambda p: invariant_volume_density(p),
-        "covariant_map": lambda p: covariant_map(mm, p),
+        "covariant_map": lambda p: covariant_map(p),
         "encode_point": lambda p: encode_point(p),
         "covariance_residual": lambda p: covariance_residual(mm, [("sigma", None)], h, p),
         "fourier_coefficient": lambda p: fourier_coefficient(

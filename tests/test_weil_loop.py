@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement, IwasawaCoords,
-                        LatticePair, asymptotic_main_term, check_gamma_invariance,
-                        gamma_n_generators, sw_heisenberg_apply, sw_iwasawa_apply,
+                        LatticePair, SiegelJacobiPoint, asymptotic_main_term,
+                        check_gamma_invariance, covariance_residual, gamma_n_generators,
+                        state_distance, sw_heisenberg_apply, sw_iwasawa_apply,
                         sw_rotation_apply, theta_state, theta_sum_f, weil_apply_word,
                         weil_generator_apply, xi_to_heisenberg)
 from jacobiweil import states, theta
@@ -148,7 +149,7 @@ def test_weil_builds_a_state_only_at_the_loop_return():
     assert isinstance(calls[0][2], (ast.Return, ast.IfExp))
 
 
-@pytest.mark.parametrize("module", ["weil.py", "jacobi_theta.py"])
+@pytest.mark.parametrize("module", ["weil.py", "jacobi_theta.py", "states.py", "automorphy.py"])
 def test_each_function_checks_m_at_most_once(module):
     scopes = [scope for scope, _, _ in _calls(SRC / module, {"index_matrix", "_index_matrix"})]
     assert scopes and len(scopes) == len(set(scopes)), scopes
@@ -206,3 +207,27 @@ def test_jacobi_theta_sums_each_function_through_one_kernel_call():
     avoided = {"theta_sum_f", "sw_rotation_apply"}
     assert [scope for scope, _, _ in _calls(path, avoided)
             if scope in ("check_gamma_invariance", "asymptotic_main_term")] == []
+
+
+def test_covariance_and_state_distance_make_one_m_check(monkeypatch):
+    count, index_check = [0], states._index_matrix
+
+    def counted(m):
+        count[0] += 1
+        return index_check(m)
+
+    monkeypatch.setattr(states, "_index_matrix", counted)
+    mm = [[1.0, 0.2], [0.2, 0.8]]
+    p = SiegelJacobiPoint([[0.1 + 1.2j, 0.2], [0.2, -0.3 + 0.9j]], [[0.1 + 0.3j, 0.2], [0.0, -0.1j]])
+    lam, mu = np.array([[0.1, 0.0], [0.2, -0.1]]), np.array([[0.2, 0.1], [0.0, 0.3]])
+    h = HeisenbergElement(lam, mu, 0.5 * (lam @ mu.T - mu @ lam.T))
+    word = [("sigma", None), ("t", [[0.4, 0.1], [0.1, 0.0]]), ("g", [[2.0, 0.0], [0.5, 1.0]])]
+    # with J*, evaluate and covariant_map checking M each, 6 per covariance call and 2 per distance
+    _, eps = covariance_residual(mm, word, h, p)
+    assert count[0] == 1
+    count[0] = 0
+    covariance_residual(mm, word, h, p, -eps)
+    assert count[0] == 1
+    count[0] = 0
+    state_distance(states.covariant_map(p), GaussianState(0.5, p.omega, p.z), mm)
+    assert count[0] == 1
