@@ -24,11 +24,17 @@ from .states import index_matrix
 COVER_TOL = 1e-10
 
 
-def jfac(g: SymplecticElement, omega) -> np.ndarray:
-    """C Omega + D; Omega must have finite entries."""
+def _finite_sym(omega) -> np.ndarray:
+    """``complex_sym(omega)``, refused unless every entry is finite."""
     omega = complex_sym(omega)
     if not np.isfinite(omega).all():
         raise DomainError("Omega must have finite entries")
+    return omega
+
+
+def jfac(g: SymplecticElement, omega) -> np.ndarray:
+    """C Omega + D; Omega must have finite entries."""
+    omega = _finite_sym(omega)
     _, _, c, d = g.blocks
     return c @ omega + d
 
@@ -61,12 +67,13 @@ def gamma_pair(omega1, omega2) -> complex:
     """det^{-1/2}((O1 - conj(O2))/2i) (det Im O1)^{1/4} (det Im O2)^{1/4}.
 
     The determinant argument has real part (Im O1 + Im O2)/2, positive
-    definite, so the holomorphic branch is unambiguous.  Each det Im O must be
+    definite, so the holomorphic branch is unambiguous.  Each O must have
+    finite entries, checked before any determinant, and each det Im O must be
     positive and finite; an indefinite Im O of positive determinant (n >= 2)
     is not caught.
     """
-    omega1 = complex_sym(omega1)
-    omega2 = complex_sym(omega2)
+    omega1 = _finite_sym(omega1)
+    omega2 = _finite_sym(omega2)
     arg = (omega1 - omega2.conj()) / 2j
     y1, y2 = np.linalg.det(omega1.imag), np.linalg.det(omega2.imag)
     if not (0 < y1 < np.inf and 0 < y2 < np.inf):

@@ -16,6 +16,8 @@ NaN or infinity in its place is a usage error (see ``serialize.decode_real``).
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
 import time
@@ -27,15 +29,20 @@ from . import __version__, serialize
 from .errors import (ConvergenceError, DomainError, EigenSolverError,
                      ResourceError, _integer)
 from .groups import IwasawaCoords, SiegelJacobiPoint
-from .jacobi_theta import LatticePair, theta_sum_f
-from .maass import casimir_km, multiplicity, sample_function
-from .maslov import Lagrangian, cocycle_clm, cocycle_sl2, maslov3, maslov_chain
 from .states import ground_state
-from .suites import SUITES, run_suite
-from .theta import theta_M
-from .weil import covariance_residual
 
 SCHEMA = "1"
+
+
+@functools.cache
+def _module(name: str):
+    """The package module ``name``, imported on a job's first use of it.
+
+    A job imports only the modules its command needs; the jobs look each
+    function up on the cached module at call time, so a rebinding of the
+    module's attribute (a tracer's wrapper, for one) is seen by the next call.
+    """
+    return importlib.import_module(f".{name}", __package__)
 
 
 def _positive(name, value) -> float:
@@ -67,7 +74,7 @@ def _job_theta(params, tol):
         shape_o, shape_z = (n, n), (m, n)
     p = SiegelJacobiPoint(serialize.decode_complex_matrix(params["omega"], shape_o),
                           serialize.decode_complex_matrix(params["z"], shape_z))
-    tv = theta_M(mm, p, tol)
+    tv = _module("theta").theta_M(mm, p, tol)
     return {"value": serialize.encode_complex(tv.value)}, _certification(tv), True
 
 
@@ -77,31 +84,34 @@ def _job_theta_sum(params, tol):
     f = serialize.decode_state(params["f"]) if "f" in params else ground_state(n)
     coords = IwasawaCoords(serialize.decode_complex(params["tau"]),
                            serialize.decode_real(params.get("theta", 0.0)))
-    xi = LatticePair(_real_vector(params.get("lambda", [0.0] * n)),
-                     _real_vector(params.get("mu", [0.0] * n)))
-    tv = theta_sum_f(f, coords, xi, t=serialize.decode_real(params.get("t", 0.0)), tol=tol)
+    jt = _module("jacobi_theta")
+    xi = jt.LatticePair(_real_vector(params.get("lambda", [0.0] * n)),
+                        _real_vector(params.get("mu", [0.0] * n)))
+    tv = jt.theta_sum_f(f, coords, xi, t=serialize.decode_real(params.get("t", 0.0)), tol=tol)
     return {"value": serialize.encode_complex(tv.value)}, _certification(tv), True
 
 
 def _job_maslov(params, tol):
-    ls = [Lagrangian(serialize.decode_real_matrix(b)) for b in params["lagrangians"]]
+    maslov = _module("maslov")
+    ls = [maslov.Lagrangian(serialize.decode_real_matrix(b)) for b in params["lagrangians"]]
     if len(ls) < 3:
         raise DomainError("need at least three Lagrangians")
-    value = maslov3(*ls) if len(ls) == 3 else maslov_chain(ls)
+    value = maslov.maslov3(*ls) if len(ls) == 3 else maslov.maslov_chain(ls)
     return {"index": value}, {}, True
 
 
 def _job_cocycle(params, tol):
+    maslov = _module("maslov")
     variant = params.get("type", "sl2")
     if variant == "sl2":
-        val = cocycle_sl2(serialize.decode_real_matrix(params["M1"]),
-                          serialize.decode_real_matrix(params["M2"]),
-                          _integer("n", params.get("n", 1)))
+        val = maslov.cocycle_sl2(serialize.decode_real_matrix(params["M1"]),
+                                 serialize.decode_real_matrix(params["M2"]),
+                                 _integer("n", params.get("n", 1)))
     elif variant == "clm":
-        val = cocycle_clm(serialize.decode_real(params.get("m", 1.0)),
-                          Lagrangian(serialize.decode_real_matrix(params["lagrangian"])),
-                          serialize.decode_symplectic(params["g1"]),
-                          serialize.decode_symplectic(params["g2"]))
+        ell = maslov.Lagrangian(serialize.decode_real_matrix(params["lagrangian"]))
+        val = maslov.cocycle_clm(serialize.decode_real(params.get("m", 1.0)), ell,
+                                 serialize.decode_symplectic(params["g1"]),
+                                 serialize.decode_symplectic(params["g2"]))
     else:
         raise DomainError(f"unknown cocycle type {variant!r}")
     return {"value": serialize.encode_complex(val)}, {}, True
@@ -115,17 +125,18 @@ def _job_covariance(params, tol):
     branch = params.get("branch", "auto")
     if branch != "auto":
         branch = serialize.decode_complex(branch)
-    res, eps = covariance_residual(mm, word, h, p, branch=branch)
+    res, eps = _module("weil").covariance_residual(mm, word, h, p, branch=branch)
     return ({"residual": res, "eps": serialize.encode_complex(eps)}, {},
             res <= (1e-9 if tol is None else tol))
 
 
 def _job_casimir(params, tol):
-    func = sample_function(params.get("function", "poly-exp"))
+    maass = _module("maass")
+    func = maass.sample_function(params.get("function", "poly-exp"))
     h = _positive("h", params.get("h", 1e-3))
-    val = casimir_km(func, _integer("k", params["k"]), _integer("m", params["m"]),
-                     serialize.decode_complex(params["tau"]),
-                     serialize.decode_complex(params["z"]), h)
+    val = maass.casimir_km(func, _integer("k", params["k"]), _integer("m", params["m"]),
+                           serialize.decode_complex(params["tau"]),
+                           serialize.decode_complex(params["z"]), h)
     return {"value": serialize.encode_complex(val)}, {"step": h}, True
 
 
@@ -133,12 +144,13 @@ def _job_multiplicity(params, tol):
     taus = params["taus"]
     if not isinstance(taus, list):
         raise DomainError("taus must be a list of integers")
-    val = multiplicity(taus, params["m"], params["n"])
+    val = _module("maass").multiplicity(taus, params["m"], params["n"])
     return {"multiplicity": val}, {}, True
 
 
 def _job_verify_suite(params, tol):
-    report = run_suite(params["name"], params.get("seed", 0), params.get("count", 20), tol)
+    report = _module("suites").run_suite(params["name"], params.get("seed", 0),
+                                         params.get("count", 20), tol)
     cert = {"max_residual": report["max_residual"], "tol": report["tol"]}
     return report, cert, bool(report["passed"])
 
@@ -186,12 +198,21 @@ def run_job(spec: dict) -> tuple[dict, int]:
     return result, 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a DomainError, so that ``main``
+    prints it as a usage error in JSON on stdout (argparse would print it on
+    stderr and exit)."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 # built once: building it takes about ten times as long as one parse_args
-_PARSER = argparse.ArgumentParser(
+_PARSER = _Parser(
     prog="jacobiweil",
     description="Evaluation and verification jobs with JSON output")
 _PARSER.add_argument("--job", help="path to a JobSpec JSON file ('-' for stdin)")
-_PARSER.add_argument("--suite", choices=sorted(SUITES), help="named verification suite")
+_PARSER.add_argument("--suite", help="named verification suite")
 _PARSER.add_argument("--seed", type=int, default=0)
 _PARSER.add_argument("--count", type=int, default=20)
 _PARSER.add_argument("--tol", type=float, default=None)
@@ -200,9 +221,8 @@ _PARSER.add_argument("--threads", type=int, default=1,
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-
     try:
+        args = _PARSER.parse_args(argv)
         if args.suite is not None:
             spec = {"command": "verify-suite", "tol": args.tol, "seed": args.seed,
                     "params": {"name": args.suite, "seed": args.seed,
@@ -211,8 +231,7 @@ def main(argv=None) -> int:
             raw = sys.stdin.read() if args.job == "-" else Path(args.job).read_text()
             spec = json.loads(raw)
         else:
-            _PARSER.print_usage(sys.stderr)
-            return 2
+            raise DomainError("give a JobSpec with --job FILE or a suite with --suite NAME")
         result, code = run_job(spec)
     # LinAlgError subclasses ValueError, so the resource handler comes first
     except (ResourceError, ConvergenceError, EigenSolverError, np.linalg.LinAlgError,

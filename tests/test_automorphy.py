@@ -127,6 +127,11 @@ def test_factors_refuse_a_bad_omega():
                        "det Im Omega must be positive and finite"),
         "epsilon_g": (lambda: epsilon_g(t1, [[-0.5j]], [[2j]]),
                       "det Im Omega must be positive and finite"),
+        # a NaN entry is refused before np.linalg.det could warn on it
+        "gamma_pair NaN": (lambda: gamma_pair([[math.nan]], [[1j]]),
+                           "Omega must have finite entries"),
+        "epsilon_g NaN": (lambda: epsilon_g(t1, [[math.nan]], [[1j]]),
+                          "Omega must have finite entries"),
         "alpha_factor": (lambda: alpha_factor(t1, [[math.nan]]), "Omega must have finite entries"),
         "J_half": (lambda: J_half(metaplectic_lifts(t1)[0], [[math.nan]]),
                    "Omega must have finite entries"),

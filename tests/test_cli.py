@@ -329,6 +329,55 @@ def _run_cli(args, env):
     return proc.returncode, proc.stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "bogus"], "usage: unknown suite 'bogus'; available: " + str(sorted(SUITES))),
+    (["--seed", "abc"], "usage: argument --seed: invalid int value: 'abc'"),
+    (["--bogus-flag"], "usage: unrecognized arguments: --bogus-flag"),
+    ([], "usage: give a JobSpec with --job FILE or a suite with --suite NAME"),
+])
+def test_cli_flag_errors_are_one_json_object(argv, message, capsys):
+    # a malformed command line keeps the contract: one JSON object on stdout, exit 2
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"schema": "1", "error": message} and err == ""
+
+
+# The jacobiweil modules that one cold job of each command loads.  Every job
+# needs cli, errors and serialize, which loads groups, linalg and states.
+_EVERY_JOB = {"cli", "errors", "serialize", "groups", "linalg", "states"}
+FOOTPRINTS = {
+    "theta": _EVERY_JOB | {"theta"},
+    "theta-sum": _EVERY_JOB | {"jacobi_theta", "theta", "weil", "automorphy"},
+    "maslov": _EVERY_JOB | {"maslov"},
+    "cocycle": _EVERY_JOB | {"maslov"},
+    "covariance": _EVERY_JOB | {"weil", "automorphy"},
+    "verify-suite": _EVERY_JOB | {"suites", "automorphy", "maass", "maslov", "theta", "weil"},
+    "casimir": _EVERY_JOB | {"maass"},
+    "multiplicity": _EVERY_JOB | {"maass"},
+}
+# prints, on stderr, the submodules loaded by ``import jacobiweil`` and by one job
+_FOOTPRINT_CHILD = """
+import json, sys
+def loaded():
+    return sorted(k[len("jacobiweil."):] for k in sys.modules if k.startswith("jacobiweil."))
+import jacobiweil
+bare = loaded()
+from jacobiweil.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([bare, code, loaded()]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(FOOTPRINTS))
+def test_cold_job_loads_only_its_modules(command, cli_env):
+    spec = json.dumps({"command": command, "params": VALID_PARAMS[command]})
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, "--job", "-"], input=spec,
+                          capture_output=True, text=True, env=cli_env)
+    bare, code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert bare == [] and code == 0
+    assert set(loaded) == FOOTPRINTS[command]
+
+
 def test_cli_suite_determinism_across_threads(cli_env):
     outs = []
     for threads in ("1", "3"):
