@@ -4,7 +4,9 @@ Covers the classical factor J(g, Omega) = C Omega + D, the index-M Jacobi
 factor and its half-weight variants, the gamma pairing and the unit cocycles
 alpha / beta / epsilon it generates, the metaplectic double cover, the
 classical theta multiplier on Gamma_0(4), the nonholomorphic weight-(k, m)
-slash operator, and the invariant measure data.
+slash operator, and the invariant measure data.  A public function checks
+each raw Omega once (``linalg._siegel_omega``); ``_name`` is the body of
+``name`` at an Omega already checked, as a point's Omega is.
 """
 
 from __future__ import annotations
@@ -17,32 +19,23 @@ import numpy as np
 
 from .errors import DomainError, InvariantViolation, _integer
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
-                     SymplecticElement, _one_point, sp_act)
-from .linalg import complex_sym, holo_sqrt_det, principal_pow_half
+                     SymplecticElement, _one_point, _sp_act)
+from .linalg import _siegel_omega, holo_sqrt_det, principal_pow_half
 from .states import index_matrix
 
 COVER_TOL = 1e-10
 
 
-def _finite_sym(omega) -> np.ndarray:
-    """``complex_sym(omega)``, refused unless every entry is finite."""
-    omega = complex_sym(omega)
-    if not np.isfinite(omega).all():
-        raise DomainError("Omega must have finite entries")
-    return omega
-
-
 def jfac(g: SymplecticElement, omega) -> np.ndarray:
-    """C Omega + D; Omega must have finite entries."""
-    omega = _finite_sym(omega)
+    """C Omega + D."""
     _, _, c, d = g.blocks
-    return c @ omega + d
+    return c @ _siegel_omega(omega) + d
 
 
 def _index_factor(mm: np.ndarray, g: SymplecticElement, h: HeisenbergElement,
-                  p: SiegelJacobiPoint, s: float = 1.0, lift=None, power: int = 0) -> complex:
+                  p: SiegelJacobiPoint, s: float = 1.0, eps=None, power: int = 0) -> complex:
     """The index-M exponentials exp(2 pi i s e1) exp(-2 pi i s e2), times
-    J_half(lift, O)^power when a lift is given, with M already checked: with
+    J_half((g, eps), O)^power when the lift's eps is given, with M already checked: with
     W = Z + lam O + mu, e1 = tr(M W (CO+D)^{-1} C W^T) and
     e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T))."""
     lam, mu, kap = h.lam, h.mu, h.kappa
@@ -52,8 +45,8 @@ def _index_factor(mm: np.ndarray, g: SymplecticElement, h: HeisenbergElement,
     e1 = np.trace(mm @ w @ np.linalg.inv(c @ omega + d) @ c @ w.T)
     e2 = np.trace(mm @ (lam @ omega @ lam.T + 2 * lam @ z.T + kap + mu @ lam.T))
     val = np.exp(2j * np.pi * s * e1) * np.exp(-2j * np.pi * s * e2)
-    if lift is not None:
-        val = val * J_half(lift, omega) ** power
+    if eps is not None:
+        val = val * _j_half(g, eps, omega) ** power
     return complex(val)
 
 
@@ -64,27 +57,28 @@ def J_M(m_index, elt: JacobiElement, p: SiegelJacobiPoint) -> complex:
 
 
 def gamma_pair(omega1, omega2) -> complex:
-    """det^{-1/2}((O1 - conj(O2))/2i) (det Im O1)^{1/4} (det Im O2)^{1/4}.
+    """det^{-1/2}((O1 - conj(O2))/2i) (det Im O1)^{1/4} (det Im O2)^{1/4}; the
+    argument's real part (Im O1 + Im O2)/2 is positive definite, so the
+    holomorphic branch is unambiguous."""
+    return _gamma(_siegel_omega(omega1), _siegel_omega(omega2))
 
-    The determinant argument has real part (Im O1 + Im O2)/2, positive
-    definite, so the holomorphic branch is unambiguous.  Each O must have
-    finite entries, checked before any determinant, and each det Im O must be
-    positive and finite; an indefinite Im O of positive determinant (n >= 2)
-    is not caught.
-    """
-    omega1 = _finite_sym(omega1)
-    omega2 = _finite_sym(omega2)
-    arg = (omega1 - omega2.conj()) / 2j
+
+def _gamma(omega1: np.ndarray, omega2: np.ndarray) -> complex:
+    # a det Im O that overflows, or that an ill-conditioned Im O rounds to 0
+    # or below, is refused before its quarter power
     y1, y2 = np.linalg.det(omega1.imag), np.linalg.det(omega2.imag)
     if not (0 < y1 < np.inf and 0 < y2 < np.inf):
         raise DomainError("det Im Omega must be positive and finite")
-    quarters = (y1 * y2) ** 0.25
-    return complex(quarters / holo_sqrt_det(arg))
+    return complex((y1 * y2) ** 0.25 / holo_sqrt_det((omega1 - omega2.conj()) / 2j))
 
 
 def epsilon_g(g: SymplecticElement, omega1, omega2) -> complex:
     """gamma(g.O1, g.O2) / gamma(O1, O2); unit modulus."""
-    val = gamma_pair(sp_act(g, omega1), sp_act(g, omega2)) / gamma_pair(omega1, omega2)
+    return _epsilon(g, _siegel_omega(omega1), _siegel_omega(omega2))
+
+
+def _epsilon(g: SymplecticElement, omega1: np.ndarray, omega2: np.ndarray) -> complex:
+    val = _gamma(_sp_act(g, omega1), _sp_act(g, omega2)) / _gamma(omega1, omega2)
     if not abs(abs(val) - 1.0) <= 1e-8:
         raise InvariantViolation(f"epsilon modulus defect {abs(val) - 1.0:.2e}")
     return val / abs(val)
@@ -94,24 +88,29 @@ def epsilon_expanded(g: SymplecticElement, omega1, omega2) -> complex:
     """Equivalent expanded form of epsilon_g (cross-check route):
     det^{-1/2}((g.O1 - conj(g.O2))/2i) det^{1/2}((O1 - conj(O2))/2i)
     |det J(g,O1)|^{-1/2} |det J(g,O2)|^{-1/2}."""
-    omega1 = complex_sym(omega1)
-    omega2 = complex_sym(omega2)
-    go1, go2 = sp_act(g, omega1), sp_act(g, omega2)
+    omega1, omega2 = _siegel_omega(omega1), _siegel_omega(omega2)
     num = holo_sqrt_det((omega1 - omega2.conj()) / 2j)
-    den = holo_sqrt_det((go1 - go2.conj()) / 2j)
-    scale = (abs(np.linalg.det(jfac(g, omega1))) * abs(np.linalg.det(jfac(g, omega2)))) ** -0.5
+    den = holo_sqrt_det((_sp_act(g, omega1) - _sp_act(g, omega2).conj()) / 2j)
+    _, _, c, d = g.blocks
+    scale = (abs(np.linalg.det(c @ omega1 + d)) * abs(np.linalg.det(c @ omega2 + d))) ** -0.5
     return complex(num / den * scale)
 
 
 def alpha_factor(g: SymplecticElement, omega) -> complex:
     """Determinant phase det J(g, O) / |det J(g, O)|."""
-    d = np.linalg.det(jfac(g, omega))
-    return complex(d / abs(d))
+    return _alpha(g, _siegel_omega(omega))
+
+
+def _alpha(g: SymplecticElement, omega: np.ndarray) -> complex:
+    _, _, c, d = g.blocks
+    det = np.linalg.det(c @ omega + d)
+    return complex(det / abs(det))
 
 
 def beta_cocycle(omega, g1: SymplecticElement, g2: SymplecticElement) -> complex:
     """beta_O(g1, g2) = epsilon(g1; O, g2.O)."""
-    return epsilon_g(g1, omega, sp_act(g2, omega))
+    omega = _siegel_omega(omega)
+    return _epsilon(g1, omega, _sp_act(g2, omega))
 
 
 def fock_cocycle(m_index, omega, g1: SymplecticElement, g2: SymplecticElement) -> complex:
@@ -121,10 +120,10 @@ def fock_cocycle(m_index, omega, g1: SymplecticElement, g2: SymplecticElement) -
     through inverse actions (see tests).
     """
     mm = index_matrix(m_index)
-    m = mm.shape[0]
+    m, omega = mm.shape[0], _siegel_omega(omega)
     g1i, g2i = g1.inv(), g2.inv()
-    num = gamma_pair(sp_act(g2i @ g1i, omega), sp_act(g2i, omega))
-    den = gamma_pair(sp_act(g1i, omega), omega)
+    num = _gamma(_sp_act(g2i @ g1i, omega), _sp_act(g2i, omega))
+    den = _gamma(_sp_act(g1i, omega), omega)
     return complex((num / den) ** m)
 
 
@@ -138,11 +137,12 @@ class MetaplecticElement:
     eps: complex
 
     def __post_init__(self):
-        n = self.g.n
-        a = alpha_factor(self.g, 1j * np.eye(n))
-        if abs(self.eps ** 2 * a - 1.0) > COVER_TOL:
+        a, eps = _alpha(self.g, 1j * np.eye(self.g.n)), complex(self.eps)
+        # not >, so that a NaN or infinite eps fails too; eps * eps overflows to
+        # inf, where eps ** 2 raises OverflowError
+        if not abs(eps * eps * a - 1.0) <= COVER_TOL:
             raise InvariantViolation("eps^2 must equal alpha_{iI}(g)^{-1}")
-        object.__setattr__(self, "eps", complex(self.eps))
+        object.__setattr__(self, "eps", eps)
 
     @property
     def n(self) -> int:
@@ -150,24 +150,33 @@ class MetaplecticElement:
 
     def __matmul__(self, other: "MetaplecticElement") -> "MetaplecticElement":
         # cover product: (g1, e1)(g2, e2) = (g1 g2, e1 e2 beta_{iI}(g1, g2))
-        n = self.n
-        beta = beta_cocycle(1j * np.eye(n), self.g, other.g)
+        ii = 1j * np.eye(self.n)
+        beta = _epsilon(self.g, ii, _sp_act(other.g, ii))
         return MetaplecticElement(self.g @ other.g, self.eps * other.eps * beta)
+
+
+def _principal_eps(g: SymplecticElement) -> complex:
+    """eps0 = exp(-i arg(alpha_{iI}(g)) / 2), from one alpha: (g, eps0) is a lift."""
+    return cmath.exp(-0.5j * cmath.phase(_alpha(g, 1j * np.eye(g.n))))
 
 
 def metaplectic_lifts(g: SymplecticElement) -> tuple[MetaplecticElement, MetaplecticElement]:
     """The two lifts (g, ±eps0) with eps0 the principal root of alpha^{-1}."""
-    a = alpha_factor(g, 1j * np.eye(g.n))
-    eps0 = cmath.exp(-0.5j * cmath.phase(a))
+    eps0 = _principal_eps(g)
     return MetaplecticElement(g, eps0), MetaplecticElement(g, -eps0)
 
 
 def J_half(elt: MetaplecticElement, omega) -> complex:
     """Half-weight factor eps^{-1} epsilon(g; O, iI) |det J(g, O)|^{1/2};
     squares to det(C O + D)."""
-    scale = abs(np.linalg.det(jfac(elt.g, omega))) ** 0.5
-    e = epsilon_g(elt.g, omega, 1j * np.eye(elt.n))
-    return complex(elt.eps ** -1 * e * scale)
+    return _j_half(elt.g, elt.eps, _siegel_omega(omega))
+
+
+def _j_half(g: SymplecticElement, eps: complex, omega: np.ndarray) -> complex:
+    _, _, c, d = g.blocks
+    scale = abs(np.linalg.det(c @ omega + d)) ** 0.5
+    e = _epsilon(g, omega, 1j * np.eye(g.n))
+    return complex(eps ** -1 * e * scale)
 
 
 @dataclass(frozen=True)
@@ -185,14 +194,14 @@ class HalfWeight:
 def J_kM_half(weight: HalfWeight, elt: MetaplecticElement, h: HeisenbergElement,
               p: SiegelJacobiPoint) -> complex:
     """Half-integral Jacobi factor: the index-M exponentials times J_{1/2}^k."""
-    return _index_factor(weight.m_index, elt.g, h, p, lift=elt, power=weight.k)
+    return _index_factor(weight.m_index, elt.g, h, p, eps=elt.eps, power=weight.k)
 
 
 def J_star_M(m_index, elt: MetaplecticElement, h: HeisenbergElement,
              p: SiegelJacobiPoint) -> complex:
     """Covariance factor: pi-i-normalized exponentials times J_{1/2}^m."""
     mm = index_matrix(m_index)
-    return _index_factor(mm, elt.g, h, p, s=0.5, lift=elt, power=mm.shape[0])
+    return _index_factor(mm, elt.g, h, p, s=0.5, eps=elt.eps, power=mm.shape[0])
 
 
 # ---------------------------------------------------------------------------

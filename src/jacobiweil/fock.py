@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import HeisenbergElement
-from .linalg import _require_pd, complex_sym
+from .linalg import _siegel_omega
 from .states import index_matrix
 
 DEGREE_CAP = 8
@@ -87,8 +87,7 @@ def fock_apply(m_index, omega, h: HeisenbergElement, f: FockState) -> FockState:
     an exponential of an affine function of Z.
     """
     mm = index_matrix(m_index)
-    omega = complex_sym(omega)
-    _require_pd(omega.imag, "Omega must lie in the Siegel upper half space")
+    omega = _siegel_omega(omega)
     m, n = f.shape
     if h.shape != (m, n) or omega.shape != (n, n):
         raise DomainError("dimension mismatch")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .linalg import _require_siegel_pair, complex_sym, real_sym
+from .linalg import _require_siegel_pair, _siegel_omega, complex_sym, real_sym
 
 SP_TOL = 1e-10
 HEIS_TOL = 1e-10
@@ -405,12 +405,13 @@ def _one_point(p: SiegelJacobiPoint) -> SiegelJacobiPoint:
 
 def sp_act(g: SymplecticElement, omega) -> np.ndarray:
     """The fractional-linear action of Sp(n, R) on the Siegel upper half space."""
-    omega = complex_sym(omega)
+    return _sp_act(g, _siegel_omega(omega))
+
+
+def _sp_act(g: SymplecticElement, omega: np.ndarray) -> np.ndarray:
+    """``sp_act`` of an Omega already checked."""
     a, b, c, d = g.blocks
-    den = c @ omega + d
-    num = a @ omega + b
-    out = num @ np.linalg.inv(den)
-    return complex_sym(out, defect_tol=1e-6)
+    return complex_sym((a @ omega + b) @ np.linalg.inv(c @ omega + d), defect_tol=1e-6)
 
 
 def jacobi_act(elt: JacobiElement, p: SiegelJacobiPoint) -> SiegelJacobiPoint:
@@ -420,7 +421,7 @@ def jacobi_act(elt: JacobiElement, p: SiegelJacobiPoint) -> SiegelJacobiPoint:
     _, _, c, d = elt.g.blocks
     den = np.linalg.inv(c @ p.omega + d)
     z2 = (p.z + elt.h.lam @ p.omega + elt.h.mu) @ den
-    return SiegelJacobiPoint(sp_act(elt.g, p.omega), z2)
+    return SiegelJacobiPoint(_sp_act(elt.g, p.omega), z2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ which SL(2, R) acts linearly by the embedded matrix on the stacked vector;
 these correspond to the Heisenberg row convention through the twist
 (lam, mu) -> (-mu, lam; t) (see tests: all three lattice-group generators
 leave Theta_f conj(Theta_g) invariant in these coordinates, none do without
-the twist).  M = 1 is checked once, at import, for the operator loop; the
-lattice kernel (``theta._lattice_sums``) checks it again on every sum.
-``theta_state`` applies its operators as one letter list
-(``weil._apply_letters``), and each invariance or asymptotic check sums all
-of its states in one ``theta._lattice_sums`` call.
+the twist).  M = 1 is checked once, at import, for the operator loop and
+the lattice kernel.  ``theta_state`` applies its operators as one letter
+list (``weil._apply_letters``), and each invariance or asymptotic check sums
+all of its states in one ``theta._lattice_sums`` call.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ import numpy as np
 
 from .errors import DomainError
 from .groups import HeisenbergElement, IwasawaCoords, _sl2_entries, sl2_act_circle
-from .states import GaussianState, index_matrix
+from .states import GaussianState, _index_matrix
 from .theta import ThetaValue, _lattice_sums, lattice_sum
 from .weil import SW_SCALE, _apply_letters, _iwasawa_letters
 
-# the index M = 1, checked once and shared read-only, as groups.symplectic_form keeps J
-_M_ONE = index_matrix(np.eye(1))
+# the index M = 1 and its least eigenvalue, checked once; M is shared read-only,
+# as groups.symplectic_form keeps J
+_M_ONE, _M_ONE_MIN = _index_matrix(np.eye(1))
 _M_ONE.flags.writeable = False
 
 
@@ -95,7 +95,7 @@ def theta_sum_f(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
 def _stack_sums(states, tol: float) -> tuple:
     """``theta._lattice_sums`` of states of one shape (1, n) at M = 1, one stack."""
     fields = ([getattr(s, k) for s in states] for k in ("c", "a", "b", "im_a_min"))
-    return _lattice_sums(*map(np.array, fields), _M_ONE, tol)
+    return _lattice_sums(*map(np.array, fields), _M_ONE, _M_ONE_MIN, tol)
 
 
 def gamma_n_generators(n: int):

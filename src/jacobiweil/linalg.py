@@ -25,7 +25,7 @@ def _square(a, dtype) -> np.ndarray:
     return a
 
 
-def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
+def _sym(a: np.ndarray, defect_tol: float, unit: float = 1.0) -> np.ndarray:
     """The symmetrized copy 0.5 (a + a^T) of each matrix of a stack (..., k, k).
 
     Raises AsymmetryError, naming the first offending matrix's defect, when a
@@ -36,17 +36,31 @@ def _sym(a: np.ndarray, defect_tol: float) -> np.ndarray:
     exceeds that, one count decides, and the per-matrix defects and scales
     are only reduced otherwise.  Matrices of size 0 x 0 have no entries to
     reduce, and their copy is returned.
+
+    No numpy warning is emitted: an infinite entry makes a NaN defect
+    (inf - inf), which passes.  A finite matrix gives a finite copy: where
+    a + a^T, a - a^T or |a| overflows (an entry above max/2), the rule is
+    applied to a / 2, which halves such entries exactly, and the copy is
+    doubled; ``unit`` doubles the defect reported.
     """
     if a.size == 0:
         return a.copy()
-    t = a.swapaxes(-1, -2)
-    d = abs(a - t)
-    if np.count_nonzero(d > defect_tol):
-        defect = d.max(axis=(-2, -1))
-        over = defect > defect_tol * np.fmax(1.0, abs(a).max(axis=(-2, -1)))
-        if over.any():
-            raise AsymmetryError(f"asymmetry defect {defect[over][0]:.3e} exceeds {defect_tol:.1e}")
-    return 0.5 * (a + t)
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            t = a.swapaxes(-1, -2)
+            d = abs(a - t)
+            if np.count_nonzero(d > defect_tol):
+                defect = d.max(axis=(-2, -1))
+                over = defect > defect_tol * np.fmax(1.0, abs(a).max(axis=(-2, -1)))
+                if over.any():
+                    # a Python float, so that a doubled defect beyond max prints inf
+                    raise AsymmetryError(f"asymmetry defect {unit * float(defect[over][0]):.3e}"
+                                         f" exceeds {defect_tol:.1e}")
+            return 0.5 * (a + t)
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            half = _sym(0.5 * a, defect_tol, 2.0)
+            return half + half
 
 
 def real_sym(a) -> np.ndarray:
@@ -183,12 +197,18 @@ def _require_siegel_pair(a: np.ndarray, b: np.ndarray, matrix: str, entries: str
                     == finite_a.size + finite_b.size):
         return sym, lam
     ok = finite_a.all(axis=(-2, -1)) & finite_b.all(axis=(-2, -1))
-    im = a.imag
-    pos = _eigvalsh(0.5 * (im + im.swapaxes(-1, -2))).min(axis=-1) > PD_TOL if pd else ok | True
+    pos = _eigvalsh(_sym(a.imag, math.inf)).min(axis=-1) > PD_TOL if pd else ok | True
     first = np.argmin(pos & ok) if ok.ndim else ()
     message = (f"Im({matrix}) must be positive definite" if not pos[first]
                else f"{entries} must have finite entries")
     raise DomainError(f"point {first}: {message}" if ok.ndim else message)
+
+
+def _siegel_omega(omega) -> np.ndarray:
+    """One raw square Omega, symmetrized and checked as the Omega of a point with
+    no rows of Z: the rule and messages of ``SiegelJacobiPoint``."""
+    omega = _square(omega, complex)
+    return _require_siegel_pair(omega, omega[:0], "Omega", "Omega and Z")[0]
 
 
 def is_positive_definite(y) -> bool:

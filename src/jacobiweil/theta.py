@@ -264,32 +264,32 @@ def _drift(mm: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndarray,
-                  m_index, tol: float) -> tuple:
+                  mm: np.ndarray, m_min: float, tol: float) -> tuple:
     """The lattice sums of Gaussian states that share leading axes, as
     ``lattice_sum`` states them for one, in one pass.
 
     The states come validated (by ``GaussianState`` or ``SiegelJacobiPoint``):
     amplitudes ``c`` (...), A (..., n, n), B (..., m, n) and the least
-    eigenvalue of each Im A (...).  A stack of k states has the leading axis
-    (k,); one state has none, and then every array below has the shape, and
-    every value the bits, of a one-state sum.  M and ``tol`` are checked
-    here, once.  Each state is re-centred on its own shift k (``lattice_sum``);
-    a state with k = 0 is summed as it would be with no re-centring at all,
-    bit for bit, also beside shifted states.  The radius and the tail bound
-    are computed once per distinct (|c|, decay, drift, Re log_scale), and the
-    radius is the largest; each state's tail bound is taken at that radius,
-    so it is at most ``tol`` and at most its own one-state bound.  The cube
-    is walked once: each block is one exponent evaluation for all states
-    (their coefficient blocks stacked row-wise), one ``exp`` and one sum per
-    state.  ``roundoff_bound`` is per state, from that state's own sum of
-    |t_k|.  Returns (values, radius, tail bounds, terms, roundoff bounds,
-    shifts), in the order of ``Truncation``'s fields, the values, the bounds
-    and the (..., m, n) integer shifts with the leading axes.  Zero states
-    (c = 0, whose A is not checked) may stand anywhere: no term of theirs is
-    evaluated, each gets value 0, bounds 0 and shift 0, and the rest the
-    results of a stack without them.
+    eigenvalue of each Im A (...), and so does M: ``mm`` and its least
+    eigenvalue ``m_min``, as ``states._index_matrix`` returns them.  A stack
+    of k states has the leading axis (k,); one state has none, and then every
+    array below has the shape, and every value the bits, of a one-state sum.
+    ``tol`` and the size of M are checked here.  Each state is re-centred on
+    its own shift k (``lattice_sum``); a state with k = 0 is summed as it
+    would be with no re-centring at all, bit for bit, also beside shifted
+    states.  The radius and the tail bound are computed once per distinct
+    (|c|, decay, drift, Re log_scale), and the radius is the largest; each
+    state's tail bound is taken at that radius, so it is at most ``tol`` and
+    at most its own one-state bound.  The cube is walked once: each block is
+    one exponent evaluation for all states (their coefficient blocks stacked
+    row-wise), one ``exp`` and one sum per state.  ``roundoff_bound`` is per
+    state, from that state's own sum of |t_k|.  Returns (values, radius, tail
+    bounds, terms, roundoff bounds, shifts), in the order of ``Truncation``'s
+    fields, the values, the bounds and the (..., m, n) integer shifts with the
+    leading axes.  Zero states (c = 0, whose A is not checked) may stand
+    anywhere: no term of theirs is evaluated, each gets value 0, bounds 0 and
+    shift 0, and the rest the results of a stack without them.
     """
-    mm, m_min = _index_matrix(m_index)
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     m, n = b.shape[-2:]
@@ -325,22 +325,22 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
         tails[t] = t[0] * _tail_majorant(radius, dim, *t[1:])
     tail = np.fromiter(map(tails.get, quads), float, len(quads)).reshape(lead)
 
-    # G = pi M kron A: entry (i n + k, j n + l) is pi M[i, j] A[k, l]
-    g = (math.pi * mm[:, None, :, None] * a[..., None, :, None, :]).reshape(lead + (dim, dim))
-    h = 2 * math.pi * (mm @ b).reshape(lead + (dim,))
-    # per state, rows d..2d-1 give Im z = Re(x^T G x + h.x), rows 0..d-1 give Re z = -Im(...)
-    coef = np.concatenate([-g.imag, g.real], axis=-2).reshape(-1, dim)
-    lin = np.concatenate([-h.imag, h.real], axis=-1).reshape(-1, 1)
     terms = (2 * radius + 1) ** dim
-    g_abs = np.add.reduce(np.abs(g).reshape(lead + (-1,)), axis=-1, keepdims=True)
-    h_abs = 2 * math.pi * np.add.reduce((np.abs(mm) @ np.abs(b)).reshape(lead + (-1,)),
-                                        axis=-1, keepdims=True)
-    if recentred is not None:
-        h_abs, c = h_abs + recentred.w, recentred.c
-    c = c[..., None]
     total, mass = 0j, 0.0
-    # a sum that overflows raises ResourceError below, with no numpy warning
+    # a sum that overflows, G and h included, raises ResourceError below, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        # G = pi M kron A: entry (i n + k, j n + l) is pi M[i, j] A[k, l]
+        g = (math.pi * mm[:, None, :, None] * a[..., None, :, None, :]).reshape(lead + (dim, dim))
+        h = 2 * math.pi * (mm @ b).reshape(lead + (dim,))
+        # per state, rows d..2d-1 give Im z = Re(x^T G x + h.x), rows 0..d-1 give Re z = -Im(...)
+        coef = np.concatenate([-g.imag, g.real], axis=-2).reshape(-1, dim)
+        lin = np.concatenate([-h.imag, h.real], axis=-1).reshape(-1, 1)
+        g_abs = np.add.reduce(np.abs(g).reshape(lead + (-1,)), axis=-1, keepdims=True)
+        h_abs = 2 * math.pi * np.add.reduce((np.abs(mm) @ np.abs(b)).reshape(lead + (-1,)),
+                                            axis=-1, keepdims=True)
+        if recentred is not None:
+            h_abs, c = h_abs + recentred.w, recentred.c
+        c = c[..., None]
         for x, r in _walk(radius, dim, math.prod(lead)):
             y = coef @ x
             y += lin
@@ -459,8 +459,9 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     the given floating-point inputs.  A one-state m = n = 1 sum takes the
     same steps in Python scalars, whose roundings the same bound covers.
     """
-    value, radius, tail, terms, roundoff, shift = _lattice_sums(
-        np.array(state.c), state.a, state.b, np.array(state.im_a_min), m_index, tol)
+    value, radius, tail, terms, roundoff, shift = _lattice_sums(np.array(state.c), state.a, state.b,
+                                                                np.array(state.im_a_min),
+                                                                *_index_matrix(m_index), tol)
     return ThetaValue(complex(value),
                       Truncation(radius, float(tail), terms, float(roundoff), shift))
 
@@ -476,7 +477,8 @@ def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
     """
     if p.omega.ndim == 2:
         return lattice_sum(GaussianState(1.0, p.omega, p.z), m_index, tol)
-    value, *cut = _lattice_sums(np.ones(len(p.omega)), p.omega, p.z, p.im_omega_min, m_index, tol)
+    value, *cut = _lattice_sums(np.ones(len(p.omega)), p.omega, p.z, p.im_omega_min,
+                                *_index_matrix(m_index), tol)
     return ThetaValue(value, Truncation(*cut))
 
 

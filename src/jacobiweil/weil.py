@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .automorphy import MetaplecticElement, _index_factor, metaplectic_lifts
+from .automorphy import MetaplecticElement, _index_factor, _principal_eps
 from .errors import DomainError
 from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _letter, _one_point, _word_products,
@@ -237,7 +237,8 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     for ``_apply_letters``, which checks the state it returns once.
     ``"auto"`` takes the better of the lifts (g, +-eps0) of ``metaplectic_lifts``,
     +eps0 on a tie: J* holds eps^{-m}, so (g, -eps0) has (-1)^m times the J* of
-    (g, eps0), and J* is evaluated once.
+    (g, eps0), and J* is evaluated once.  eps0 comes from one alpha, and an
+    explicit branch is checked once, as a ``MetaplecticElement``.
 
     Returns (residual, eps_used).
     """
@@ -251,11 +252,11 @@ def covariance_residual(m_index, word, h: HeisenbergElement, p: SiegelJacobiPoin
     # each state once over the whole grid; the two lifts differ only in js
     lhs = _evaluate(st, mm, grid)
     rhs = _evaluate(target, mm, grid)
-    lift = metaplectic_lifts(g)[0] if branch == "auto" else MetaplecticElement(g, complex(branch))
-    js = _index_factor(mm, g, h, p, s=0.5, lift=lift, power=m)
+    eps = _principal_eps(g) if branch == "auto" else MetaplecticElement(g, complex(branch)).eps
+    js = _index_factor(mm, g, h, p, s=0.5, eps=eps, power=m)
     res = float(np.abs(lhs - rhs / js).max())
     if branch == "auto":
         other = float(np.abs(lhs - rhs / ((-1) ** m * js)).max())
         if other < res:
-            return other, -lift.eps
-    return res, lift.eps
+            return other, -eps
+    return res, eps

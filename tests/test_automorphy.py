@@ -120,26 +120,36 @@ def test_alpha_examples(rng):
 
 
 def test_factors_refuse_a_bad_omega():
-    # a negative det Im Omega has no real quarter power, and a NaN Omega no det
+    # Im Omega = -0.5 and Im Omega = 0 (a NaN Omega) lie outside the Siegel upper half space
     t1 = sp_generator("t", [[1.0]])
     bad = {
         "gamma_pair": (lambda: gamma_pair([[-0.5j]], [[2j]]),
-                       "det Im Omega must be positive and finite"),
+                       "Im(Omega) must be positive definite"),
         "epsilon_g": (lambda: epsilon_g(t1, [[-0.5j]], [[2j]]),
-                      "det Im Omega must be positive and finite"),
+                      "Im(Omega) must be positive definite"),
         # a NaN entry is refused before np.linalg.det could warn on it
         "gamma_pair NaN": (lambda: gamma_pair([[math.nan]], [[1j]]),
-                           "Omega must have finite entries"),
+                           "Im(Omega) must be positive definite"),
         "epsilon_g NaN": (lambda: epsilon_g(t1, [[math.nan]], [[1j]]),
-                          "Omega must have finite entries"),
-        "alpha_factor": (lambda: alpha_factor(t1, [[math.nan]]), "Omega must have finite entries"),
+                          "Im(Omega) must be positive definite"),
+        "alpha_factor": (lambda: alpha_factor(t1, [[math.nan]]), "Im(Omega) must be positive definite"),
         "J_half": (lambda: J_half(metaplectic_lifts(t1)[0], [[math.nan]]),
-                   "Omega must have finite entries"),
+                   "Im(Omega) must be positive definite"),
     }
     for name, (call, message) in bad.items():
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == message, name
+
+
+@pytest.mark.parametrize("eps", [math.nan, complex(math.inf, 0.0), 1e200 + 1e200j, 1e155])
+def test_metaplectic_element_refuses_an_eps_that_is_not_a_root(eps):
+    # eps^2 is NaN or overflows: eps * eps is formed, which gives inf where eps ** 2
+    # raises OverflowError, and a NaN fails the check
+    with pytest.raises(InvariantViolation) as info:
+        MetaplecticElement(sp_generator("t", [[0.5]]), eps)
+    assert str(info.value) == "eps^2 must equal alpha_{iI}(g)^{-1}"
+    assert MetaplecticElement(sp_generator("t", [[0.5]]), -1.0).eps == -1.0
 
 
 def test_beta_squared_alpha_relation(rng):

@@ -209,6 +209,9 @@ NOT_LISTS = [
 ]
 _NOT_LIST_SPECS = [{"command": "covariance", "params": dict(VALID_PARAMS["covariance"], **change)}
                    for change, _ in NOT_LISTS]
+# branches whose square is NaN or overflows: not a lift, so a usage error (exit 2)
+_BRANCH_SPECS = [{"command": "covariance", "params": dict(VALID_PARAMS["covariance"], branch=eps)}
+                 for eps in ([1e200, 1e200], [1e155, 0])]
 _SCALARS = (st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-4, 4)
             | st.sampled_from(["", "sl2", "clm", "t", "g", "sigma", "constant", *SUITES]))
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
@@ -247,6 +250,8 @@ def job_specs(draw):
 @example(_NOT_LIST_SPECS[2])
 @example(_NOT_LIST_SPECS[3])
 @example(_NOT_LIST_SPECS[4])
+@example(_BRANCH_SPECS[0])
+@example(_BRANCH_SPECS[1])
 def test_cli_contract_property(spec):
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(spec))
@@ -275,6 +280,17 @@ def test_cli_refuses_matrices_and_words_that_are_not_lists(k, capsys):
     finally:
         sys.stdin = saved
     error = f"usage: {NOT_LISTS[k][1]}"
+    assert json.loads(capsys.readouterr().out) == {"schema": "1", "error": error}
+
+
+@pytest.mark.parametrize("k", range(len(_BRANCH_SPECS)))
+def test_cli_refuses_a_branch_that_is_not_a_lift(k, capsys):
+    sys.stdin, saved = io.StringIO(json.dumps(_BRANCH_SPECS[k])), sys.stdin
+    try:
+        assert main(["--job", "-"]) == 2
+    finally:
+        sys.stdin = saved
+    error = "usage: eps^2 must equal alpha_{iI}(g)^{-1}"
     assert json.loads(capsys.readouterr().out) == {"schema": "1", "error": error}
 
 

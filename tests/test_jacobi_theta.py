@@ -13,6 +13,7 @@ from jacobiweil import (DomainError, GaussianState, IwasawaCoords, LatticePair,
                         weil_apply_word)
 from jacobiweil import jacobi_theta, weil
 from jacobiweil.jacobi_theta import gamma_transform
+from jacobiweil.states import _index_matrix
 from jacobiweil.theta import _lattice_sums
 
 SIEGEL_AT_I = 1.0864348112133082
@@ -311,7 +312,7 @@ def _stack(states, tol):
     value, _, tail, _, roundoff, _ = _lattice_sums(
         np.array([s.c for s in states]), np.array([s.a for s in states]),
         np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-        np.eye(1), tol)
+        *_index_matrix(np.eye(1)), tol)
     return value, tail + roundoff
 
 

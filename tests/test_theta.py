@@ -103,6 +103,12 @@ def test_overflowing_sums_raise_resource_error():
     tv = lattice_sum(GaussianState(1e300, [[1j]], [[0j]]), [[1]], 1e-10)
     assert abs(tv.value / 1e300 - SIEGEL_AT_I) < 1e-15
     assert math.isfinite(tv.truncation.roundoff_bound)
+    # G = pi M kron A overflows: formed inside the kernel's quiet block, it makes the
+    # sum non-finite; M = 9e307 also symmetrizes to itself, not to inf
+    for m in (8.9e307, 9e307):
+        with pytest.raises(ResourceError) as info:
+            theta_M([[m]], SiegelJacobiPoint([[1j]], [[0j]]), 1e-9)
+        assert str(info.value) == "the lattice sum or its roundoff bound overflows a float"
 
 
 def test_siegel_theta_anchor():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import GaussianState, lattice_sum
+from jacobiweil.states import _index_matrix
 from jacobiweil.theta import _lattice_sums
 
 # the log of the peak term, pi M sum_j (Im z_j)^2 / Im omega_j, is kept below
@@ -64,7 +65,7 @@ def test_drifted_sums_match_mpmath_within_their_bounds(case):
 def _kernel(states, mm, tol):
     return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
                          np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-                         np.array(mm), tol)
+                         *_index_matrix(np.array(mm)), tol)
 
 
 # (M, unshifted state, shifted state): the shifted state decays faster, so a

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, GaussianState, SiegelJacobiPoint,
                         fourier_coefficient, lattice_sum, siegel_theta, theta_M)
+from jacobiweil.states import _index_matrix
 from jacobiweil.theta import _lattice_sums
 
 # (c, A, B, M, tol) and (Re value, Im value, radius, terms, tail_bound,
@@ -110,7 +111,7 @@ def _kernel(states, mm, tol):
     """The kernel's values, radius, tail bounds, terms and roundoff bounds."""
     return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
                          np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-                         np.array(mm), tol)[:5]
+                         *_index_matrix(np.array(mm)), tol)[:5]
 
 
 def _golden_state(i):

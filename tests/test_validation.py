@@ -1,8 +1,9 @@
 """The shared domain checks: one positive-definiteness decision behind five
-entry points, one SL(2, R) membership check behind five more, one generator
-letter check behind five more, one reader of JSON reals, the finite-entry
-check of a Lagrangian, and the stacked symplectic and Lagrangian rules, which
-decide each matrix of a stack as the one-object constructors do."""
+entry points, one Siegel-space rule for Omega behind every function that
+takes a raw Omega, one SL(2, R) membership check behind five more, one
+generator letter check behind five more, one reader of JSON reals, the
+finite-entry check of a Lagrangian, and the stacked symplectic and Lagrangian
+rules, which decide each matrix of a stack as the one-object constructors do."""
 
 import json
 import math
@@ -19,9 +20,12 @@ from jacobiweil import (AsymmetryError, DomainError, GaussianState, HalfWeight,
                         word_to_symplectic)
 import jacobiweil.groups as groups_mod
 import jacobiweil.maslov as maslov_mod
+from jacobiweil.automorphy import (J_half, alpha_factor, beta_cocycle, epsilon_expanded,
+                                   epsilon_g, fock_cocycle, gamma_pair, jfac, metaplectic_lifts)
 from jacobiweil.errors import InvariantViolation
 from jacobiweil.fock import FockState, fock_apply
-from jacobiweil.groups import SymplecticElement, symplectic_form
+from jacobiweil.groups import SymplecticElement, sp_act, symplectic_form
+from jacobiweil.linalg import complex_sym, real_sym
 from jacobiweil.jacobi_theta import sl2_on_xi
 from jacobiweil.maslov import cocycle_sl2
 from jacobiweil.serialize import decode_real
@@ -39,7 +43,7 @@ PD_MESSAGES = {
     "index_matrix": "index matrix must be positive definite",
     "GaussianState": "Im(A) must be positive definite",
     "SiegelJacobiPoint": "Im(Omega) must be positive definite",
-    "fock_apply": "Omega must lie in the Siegel upper half space",
+    "fock_apply": "Im(Omega) must be positive definite",
     "holo_sqrt_det": "Re(S) must be positive definite",
 }
 PD_CASES = {
@@ -61,6 +65,101 @@ def test_positive_definiteness_checks(entry, case):
     assert type(info.value) is kind and str(info.value) == message
     # the same entry point accepts the identity
     PD_ENTRY_POINTS[entry](np.eye(2))
+
+
+def _omega_rows():
+    """Omegas outside the Siegel upper half space, or not n x n with n >= 1,
+    with the error that ``SiegelJacobiPoint`` raises for each."""
+    nan, inf = 1j * np.eye(2), 1j * np.eye(2)
+    nan[0, 0] = complex(math.nan, 1.0)
+    inf[0, 1] = inf[1, 0] = math.inf
+    return {
+        "-iI": (-1j * np.eye(2), DomainError, "Im(Omega) must be positive definite"),
+        # det Im Omega = 1 > 0, which the det guard alone let through
+        "indefinite": (1j * np.diag([1.0, -1.0, -1.0]), DomainError,
+                       "Im(Omega) must be positive definite"),
+        "nan": (nan, DomainError, "Omega and Z must have finite entries"),
+        "inf": (inf, DomainError, "Omega and Z must have finite entries"),
+        "asymmetric": (np.array([[1j, 0.5], [0.0, 1j]]), AsymmetryError,
+                       "asymmetry defect 5.000e-01 exceeds 1.0e-08"),
+        "0 x 0": (np.zeros((0, 0), complex), DomainError,
+                  "Omega must be n x n with n >= 1, got (0, 0)"),
+        "not square": (1j * np.ones((2, 3)), DomainError,
+                       "expected a square matrix, got shape (2, 3)"),
+    }
+
+
+OMEGA_ROWS = _omega_rows()
+# each function that takes a raw Omega, fed the bad Omega o in one argument;
+# g, the lift, the Fock state and the other Omega have the size n of o
+OMEGA_ENTRY_POINTS = {
+    "SiegelJacobiPoint": lambda o, n, g, good: SiegelJacobiPoint(o, np.zeros((1, o.shape[-1]))),
+    "sp_act": lambda o, n, g, good: sp_act(g, o),
+    "fock_apply": lambda o, n, g, good: fock_apply(np.eye(1), o, heis_identity(1, n),
+                                                   FockState((1, n))),
+    "jfac": lambda o, n, g, good: jfac(g, o),
+    "gamma_pair (first)": lambda o, n, g, good: gamma_pair(o, good),
+    "gamma_pair (second)": lambda o, n, g, good: gamma_pair(good, o),
+    "epsilon_g (first)": lambda o, n, g, good: epsilon_g(g, o, good),
+    "epsilon_g (second)": lambda o, n, g, good: epsilon_g(g, good, o),
+    "epsilon_expanded (first)": lambda o, n, g, good: epsilon_expanded(g, o, good),
+    "epsilon_expanded (second)": lambda o, n, g, good: epsilon_expanded(g, good, o),
+    "alpha_factor": lambda o, n, g, good: alpha_factor(g, o),
+    "beta_cocycle": lambda o, n, g, good: beta_cocycle(o, g, g),
+    "fock_cocycle": lambda o, n, g, good: fock_cocycle(np.eye(1), o, g, g),
+    "J_half": lambda o, n, g, good: J_half(metaplectic_lifts(g)[0], o),
+}
+
+
+@pytest.mark.parametrize("row", sorted(OMEGA_ROWS))
+@pytest.mark.parametrize("entry", sorted(OMEGA_ENTRY_POINTS))
+def test_every_raw_omega_takes_the_point_rule(entry, row):
+    # under the suite's filterwarnings = error: no numpy warning comes first
+    omega, kind, message = OMEGA_ROWS[row]
+    n = max(omega.shape[0], 1)
+    g = sp_generator("t", 0.3 * np.eye(n))
+    with pytest.raises(kind) as info:
+        OMEGA_ENTRY_POINTS[entry](omega, n, g, 3j * np.eye(n))
+    assert type(info.value) is kind and str(info.value) == message
+    # and the same call takes an Omega of the Siegel upper half space
+    OMEGA_ENTRY_POINTS[entry](np.diag([0.5 + 2j] * n), n, g, 3j * np.eye(n))
+
+
+def test_gamma_refuses_a_det_im_omega_that_rounds_below_zero():
+    # Im Omega is positive definite, least eigenvalue 3.6e-10, but LU rounds its
+    # det to -8.35; the quarter power would be NaN
+    y = np.array([[15859992.951952124, -6411811.38834203, 6456822.101786883],
+                  [-6411811.38834203, 2592163.691959333, -2610110.737706571],
+                  [6456822.101786883, -2610110.737706571, 2630839.392353405]])
+    SiegelJacobiPoint(1j * y, np.zeros((1, 3)))
+    with pytest.raises(DomainError) as info:
+        gamma_pair(1j * y, 1j * np.eye(3))
+    assert str(info.value) == "det Im Omega must be positive and finite"
+
+
+def test_inputs_near_the_float_limit_symmetrize_finite_and_quietly():
+    # a + a^T overflows above max/2; a finite matrix keeps finite entries
+    assert index_matrix([[9e307]]).tolist() == [[9e307]]
+    assert real_sym([[1e308, 2.0], [2.0, -1.7e308]]).tolist() == [[1e308, 2.0], [2.0, -1.7e308]]
+    assert SiegelJacobiPoint([[9e307 + 1j]], [[0]]).omega.tolist() == [[9e307 + 1j]]
+    huge = np.array([[1e308, 1.5e308 + 1.5e308j], [1.5e308 + 1.5e308j, 0.0]])
+    assert complex_sym(huge).tobytes() == huge.tobytes()
+    # a defect beyond max is reported as inf
+    for big in (1e308, 1.7e308):
+        with pytest.raises(AsymmetryError) as info:
+            complex_sym([[0.0, big], [-big, 0.0]])
+        assert str(info.value) == "asymmetry defect inf exceeds 1.0e-08"
+    # an infinite entry passes through as it did, with no numpy warning
+    inf = np.array([[complex(0, math.inf)]])
+    with np.errstate(all="ignore"):
+        want = 0.5 * (inf + inf.T)
+    assert complex_sym(inf).tobytes() == want.tobytes()
+    with pytest.raises(DomainError) as info:
+        epsilon_g(sp_generator("t", [[1.0]]), [[1j]], [[complex(0, math.inf)]])
+    assert str(info.value) == "Omega and Z must have finite entries"
+    with pytest.raises(DomainError) as info:
+        SiegelJacobiPoint([[-1e308j]], [[0]])
+    assert str(info.value) == "Im(Omega) must be positive definite"
 
 
 SL2_ENTRY_POINTS = {

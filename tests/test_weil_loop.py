@@ -2,8 +2,9 @@
 ``weil._apply_letters`` pass equals, bit for bit, the chain of one-operator
 calls that builds a checked state after every operator; the letters of
 R~(tau, theta) are in ``_letter``'s output form; M and the state are checked
-once per call; the loop is the one place that builds a state; and the Jacobi
-theta checks make one M check and one lattice-kernel call each."""
+once per call; the loop is the one place that builds a state; the Jacobi
+theta checks make no M check and one lattice-kernel call each; and Omega is
+checked by one rule, once per public call."""
 
 import ast
 import math
@@ -19,8 +20,9 @@ from jacobiweil import (DomainError, GaussianState, HeisenbergElement, IwasawaCo
                         check_gamma_invariance, covariance_residual, gamma_n_generators,
                         state_distance, sw_heisenberg_apply, sw_iwasawa_apply,
                         sw_rotation_apply, theta_state, theta_sum_f, weil_apply_word,
-                        weil_generator_apply, xi_to_heisenberg)
-from jacobiweil import states, theta
+                        weil_generator_apply, word_to_symplectic, xi_to_heisenberg)
+from jacobiweil import automorphy, fock, groups, linalg, states, theta
+from jacobiweil.automorphy import J_half, metaplectic_lifts
 from jacobiweil.groups import _letter
 from jacobiweil.weil import _iwasawa_letters
 
@@ -127,8 +129,9 @@ def test_an_intermediate_overflow_still_raises():
         weil_apply_word(np.eye(1), [("g", 1e200 * np.eye(1))], f)
 
 
-def _calls(path: Path, names) -> list:
-    """(enclosing function, called name) for each call of one of ``names`` in a module."""
+def _calls(path: Path, names, nodes: bool = False) -> list:
+    """(enclosing function, called name, parent node) for each call of one of
+    ``names`` in a module, or the call node itself in place of its parent."""
     tree = ast.parse(path.read_text())
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     out = []
@@ -139,7 +142,7 @@ def _calls(path: Path, names) -> list:
                 scope = node
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
-                out.append((getattr(scope, "name", None), name, parents[node]))
+                out.append((getattr(scope, "name", None), name, node if nodes else parents[node]))
     return out
 
 
@@ -188,15 +191,16 @@ def test_jacobi_theta_checks_make_one_m_check_and_few_eigenvalue_problems(monkey
     f = GaussianState(0.6 - 0.2j, 1j * np.eye(2), [[0.1 + 0.2j, -0.3j]])
     g = GaussianState(0.2 + 0.9j, [[0.3 + 1.2j, 0.1], [0.1, -0.2 + 0.8j]], [[0.2, 0.1j]])
     coords, xi = IwasawaCoords(0.3 + 1.1j, 2.1), LatticePair([0.2, 0.1], [-0.3, 0.4])
-    # 8 index-matrix checks and 12 eigvalsh calls with four theta_sum_f calls
+    # 8 index-matrix checks and 12 eigvalsh calls with four theta_sum_f calls, and
+    # 1 check with the lattice kernel checking M = 1 again; it is checked at import
     for _, mat, xi0 in gamma_n_generators(2):
         counts.update(eigvalsh=0, index=0)
         check_gamma_invariance(f, g, (mat, xi0), coords, xi)
-        assert counts["index"] == 1 and counts["eigvalsh"] <= 5, counts
+        assert counts["index"] == 0 and counts["eigvalsh"] <= 5, counts
     # 7 and 12 with the rotations and sums checking M each
     counts.update(eigvalsh=0, index=0)
     asymptotic_main_term(f, g, IwasawaCoords(0.3 + 4j, 0.7), xi)
-    assert counts["index"] == 1 and counts["eigvalsh"] <= 6, counts
+    assert counts["index"] == 0 and counts["eigvalsh"] <= 6, counts
 
 
 def test_jacobi_theta_sums_each_function_through_one_kernel_call():
@@ -231,3 +235,66 @@ def test_covariance_and_state_distance_make_one_m_check(monkeypatch):
     count[0] = 0
     state_distance(states.covariant_map(p), GaussianState(0.5, p.omega, p.z), mm)
     assert count[0] == 1
+
+
+def _count_omega_checks(monkeypatch):
+    """Counters of Siegel-pair checks (points, states and raw Omegas), of raw
+    Omega checks alone, and of alpha evaluations, patched where they are called."""
+    counts = {"pair": 0, "omega": 0, "alpha": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for module in (linalg, groups, states):
+        monkeypatch.setattr(module, "_require_siegel_pair",
+                            counted("pair", module._require_siegel_pair))
+    for module in (linalg, groups, automorphy, fock):
+        monkeypatch.setattr(module, "_siegel_omega", counted("omega", module._siegel_omega))
+    monkeypatch.setattr(automorphy, "_alpha", counted("alpha", automorphy._alpha))
+    return counts
+
+
+def test_covariance_makes_one_alpha_and_no_omega_check(monkeypatch):
+    p = SiegelJacobiPoint([[0.1 + 1.2j, 0.2], [0.2, -0.3 + 0.9j]], [[0.1 + 0.3j, 0.2]])
+    h = HeisenbergElement([[0.1, 0.0]], [[0.2, 0.1]], [[0.0]])
+    word = [("sigma", None), ("t", [[0.4, 0.1], [0.1, 0.0]]), ("g", [[2.0, 0.0], [0.5, 1.0]])]
+    counts = _count_omega_checks(monkeypatch)
+    # 3 alpha_factor and 8 Omega checks when "auto" built both lifts and each factor checked
+    _, eps = covariance_residual(np.eye(1), word, h, p)
+    # the pairs are the checks of the point and the three states the call builds
+    assert counts == {"pair": 4, "omega": 0, "alpha": 1}, counts
+    for key in counts:
+        counts[key] = 0
+    covariance_residual(np.eye(1), word, h, p, -eps)
+    assert counts == {"pair": 4, "omega": 0, "alpha": 1}, counts
+    lift = metaplectic_lifts(word_to_symplectic(word, 2))[0]
+    for key in counts:
+        counts[key] = 0
+    J_half(lift, p.omega)
+    assert counts == {"pair": 1, "omega": 1, "alpha": 0}, counts
+
+
+def test_one_rule_words_every_omega_check():
+    # every Siegel-pair and positive-definiteness check, by module, function and words:
+    # a point and a raw Omega name Omega alike, and only linalg forms the messages
+    checks, formed = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "_finite_sym" not in {node.name for node in ast.walk(tree)
+                                     if isinstance(node, ast.FunctionDef)}
+        for scope, name, node in _calls(path, {"_require_siegel_pair", "_require_pd"}, nodes=True):
+            words = tuple(a.value for a in node.args if isinstance(a, ast.Constant))
+            checks.append((path.name, scope, name, words))
+        formed += [path.name for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                   and "must be positive definite" in ast.unparse(node)]
+    assert sorted(checks) == [
+        ("groups.py", "__post_init__", "_require_siegel_pair", ("Omega", "Omega and Z")),
+        ("linalg.py", "_siegel_omega", "_require_siegel_pair", ("Omega", "Omega and Z")),
+        ("linalg.py", "holo_sqrt_det", "_require_pd", ("Re(S) must be positive definite",)),
+        ("states.py", "__post_init__", "_require_siegel_pair", ("A", "c, A and B")),
+        ("states.py", "_index_matrix", "_require_pd", ("index matrix must be positive definite",)),
+    ]
+    assert formed == ["linalg.py"]
