@@ -40,9 +40,8 @@ _NAMES = {name: module for module, names in (
                "sample_grid state_distance"),
     ("theta", "ThetaValue Truncation fourier_coefficient lattice_sum siegel_theta theta_M "
               "theta_weight_quarter"),
-    ("weil", "SW_SCALE covariance_residual rotation_word schrodinger_apply "
-             "sw_heisenberg_apply sw_iwasawa_apply sw_rotation_apply weil_apply_word "
-             "weil_generator_apply"),
+    ("weil", "SW_SCALE covariance_residual rotation_word schrodinger_apply sw_iwasawa_apply "
+             "sw_rotation_apply weil_apply_word weil_generator_apply"),
 ) for name in names.split()}
 
 _SUBMODULES = frozenset(_NAMES.values())

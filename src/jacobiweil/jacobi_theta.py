@@ -92,8 +92,9 @@ def theta_sum_f(f: GaussianState, coords: IwasawaCoords, xi: LatticePair,
     return lattice_sum(theta_state(f, coords, xi, t), _M_ONE, tol)
 
 
-def _stack_sums(states, tol: float) -> tuple:
-    """``theta._lattice_sums`` of states of one shape (1, n) at M = 1, one stack."""
+def _stack_sums(states, tol: float) -> ThetaValue:
+    """The ``ThetaValue`` of states of one shape (1, n) summed at M = 1 as one
+    stack by ``theta._lattice_sums``: ``value`` holds one sum per state."""
     fields = ([getattr(s, k) for s in states] for k in ("c", "a", "b", "im_a_min"))
     return _lattice_sums(*map(np.array, fields), _M_ONE, _M_ONE_MIN, tol)
 
@@ -126,7 +127,7 @@ def check_gamma_invariance(f: GaussianState, g: GaussianState, generator,
     mat, xi0 = generator
     coords2, xi2 = gamma_transform(mat, xi0, coords, xi)
     states = [theta_state(h, c, x) for c, x in ((coords, xi), (coords2, xi2)) for h in (f, g)]
-    vf, vg, vf2, vg2 = _stack_sums(states, tol)[0]
+    vf, vg, vf2, vg2 = _stack_sums(states, tol).value
     return float(abs(vf * np.conj(vg) - vf2 * np.conj(vg2)))
 
 
@@ -155,6 +156,6 @@ def asymptotic_main_term(f: GaussianState, g: GaussianState, coords: IwasawaCoor
     shift = y * (mu @ a @ mu.T)[0, 0] - 2 * ry * (mu @ b.T)[0, 0]
     product = GaussianState(f_th.c * np.conj(g_th.c) * np.exp(1j * np.pi * shift),
                             y * a, ry * b - y * (mu @ a))
-    total, vf, vg = _stack_sums([product, th_f, th_g], tol)[0]
+    total, vf, vg = _stack_sums([product, th_f, th_g], tol).value
     main, actual = y ** (xi.n / 2) * total, vf * np.conj(vg)
     return complex(main), complex(actual), float(abs(actual - main))

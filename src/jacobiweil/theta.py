@@ -17,9 +17,9 @@ that evaluation (``Truncation.roundoff_bound``).
 One private kernel, ``_lattice_sums``, sums a stack of k states at once: M
 and tol are checked once, the radius is the largest that any point needs,
 and each block of the one cube walk is evaluated for every point together.
-``lattice_sum`` is its one-state case, and ``theta_M`` hands it a stack of
-points (``SiegelJacobiPoint``) whole.  A cube that fits in one block is
-built once and cached (``_whole_cube``).
+``lattice_sum`` is its one-state case and ``theta_M`` hands it a stack of
+points (``SiegelJacobiPoint``) whole; both return its ``ThetaValue`` as it
+is.  A cube that fits in one block is built once and cached (``_whole_cube``).
 """
 
 from __future__ import annotations
@@ -263,8 +263,10 @@ def _drift(mm: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2 * math.pi * np.sqrt(np.vecdot(v, v)) * math.sqrt(dim)
 
 
+# a sum that overflows, its drift, G and h included, raises ResourceError, with no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndarray,
-                  mm: np.ndarray, m_min: float, tol: float) -> tuple:
+                  mm: np.ndarray, m_min: float, tol: float) -> ThetaValue:
     """The lattice sums of Gaussian states that share leading axes, as
     ``lattice_sum`` states them for one, in one pass.
 
@@ -272,23 +274,23 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
     amplitudes ``c`` (...), A (..., n, n), B (..., m, n) and the least
     eigenvalue of each Im A (...), and so does M: ``mm`` and its least
     eigenvalue ``m_min``, as ``states._index_matrix`` returns them.  A stack
-    of k states has the leading axis (k,); one state has none, and then every
-    array below has the shape, and every value the bits, of a one-state sum.
-    ``tol`` and the size of M are checked here.  Each state is re-centred on
-    its own shift k (``lattice_sum``); a state with k = 0 is summed as it
-    would be with no re-centring at all, bit for bit, also beside shifted
-    states.  The radius and the tail bound are computed once per distinct
-    (|c|, decay, drift, Re log_scale), and the radius is the largest; each
-    state's tail bound is taken at that radius, so it is at most ``tol`` and
-    at most its own one-state bound.  The cube is walked once: each block is
-    one exponent evaluation for all states (their coefficient blocks stacked
-    row-wise), one ``exp`` and one sum per state.  ``roundoff_bound`` is per
-    state, from that state's own sum of |t_k|.  Returns (values, radius, tail
-    bounds, terms, roundoff bounds, shifts), in the order of ``Truncation``'s
-    fields, the values, the bounds and the (..., m, n) integer shifts with the
-    leading axes.  Zero states (c = 0, whose A is not checked) may stand
-    anywhere: no term of theirs is evaluated, each gets value 0, bounds 0 and
-    shift 0, and the rest the results of a stack without them.
+    of k states has the leading axis (k,); one state has none.  ``tol`` and
+    the size of M are checked here.  Each state is re-centred on its own
+    shift k (``lattice_sum``); a state with k = 0 is summed as it would be
+    with no re-centring at all, bit for bit, also beside shifted states.  The
+    radius and the tail bound are computed once per distinct (|c|, decay,
+    drift, Re log_scale), and the radius is the largest; each state's tail
+    bound is taken at that radius, so it is at most ``tol`` and at most its
+    own one-state bound.  The cube is walked once: each block is one exponent
+    evaluation for all states (their coefficient blocks stacked row-wise),
+    one ``exp`` and one sum per state.  ``roundoff_bound`` is per state, from
+    that state's own sum of |t_k|.  Returns the stack's ``ThetaValue``: the
+    value and both bounds have the leading axes, ``shift`` is (..., m, n)
+    and integer, and ``radius`` and ``terms`` are shared; one state's value
+    is a Python complex and its bounds Python floats.  Zero states (c = 0,
+    whose A is not checked) may stand anywhere: no term of theirs is
+    evaluated, each gets value 0, bounds 0 and shift 0, and the rest the
+    results of a stack without them.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -315,20 +317,18 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
     # abs() of a Python complex, as a one-state sum takes it (np.abs may differ in the last bit)
     quads = list(zip(map(abs, c.ravel().tolist()), decays, drifts, log_amps))
     tails = dict.fromkeys(quads)
-    radius = 0
+    radius = terms = 0
     for t in tails:
         radius = max(radius, _least_radius(tol, dim, *t))
     if radius == 0:
-        zero = np.zeros(shape)
-        return zero + 0j, 0, zero, 0, zero, np.zeros(shape + (m, n), int)
-    for t in tails:
-        tails[t] = t[0] * _tail_majorant(radius, dim, *t[1:])
-    tail = np.fromiter(map(tails.get, quads), float, len(quads)).reshape(lead)
-
-    terms = (2 * radius + 1) ** dim
-    total, mass = 0j, 0.0
-    # a sum that overflows, G and h included, raises ResourceError below, with no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+        total, tail = np.zeros(lead, complex), np.zeros(lead)
+        roundoff, shift = tail, np.zeros(lead + (m, n), int)
+    else:
+        for t in tails:
+            tails[t] = t[0] * _tail_majorant(radius, dim, *t[1:])
+        tail = np.fromiter(map(tails.get, quads), float, len(quads)).reshape(lead)
+        terms = (2 * radius + 1) ** dim
+        total, mass = 0j, 0.0
         # G = pi M kron A: entry (i n + k, j n + l) is pi M[i, j] A[k, l]
         g = (math.pi * mm[:, None, :, None] * a[..., None, :, None, :]).reshape(lead + (dim, dim))
         h = 2 * math.pi * (mm @ b).reshape(lead + (dim,))
@@ -353,25 +353,27 @@ def _lattice_sums(c: np.ndarray, a: np.ndarray, b: np.ndarray, im_a_min: np.ndar
             total = total + np.add.reduce(vals, axis=-1)
             zeta = (g_abs * r + h_abs) * r
             mass = mass + np.vecdot(np.abs(vals), 1 + zeta + terms)
-    # each weight 1 + zeta + terms is at least 4, so mass >= 4 |total| when finite
-    if not np.isfinite(mass).all():
-        raise ResourceError("the lattice sum or its roundoff bound overflows a float")
-
-    roundoff = (dim + (m + 8) / 2) * _EPS * mass
-    if recentred is None:
-        shift = np.zeros(lead + (m, n), int)
-    else:
-        bound = roundoff + np.abs(total) * recentred.scale_err
-        if recentred.moved is not True:
-            bound = np.where(recentred.moved, bound, roundoff)
-        roundoff, shift = bound, recentred.shift
-    if nonzero:
-        return total, radius, tail, terms, roundoff, shift
-    out = np.zeros((3,) + shape, complex)
-    out[:, live] = total, tail, roundoff
-    shifts = np.zeros(shape + (m, n), int)
-    shifts[live] = shift
-    return out[0], radius, out[1].real, terms, out[2].real, shifts
+        # each weight 1 + zeta + terms is at least 4, so mass >= 4 |total| when finite
+        if not np.isfinite(mass).all():
+            raise ResourceError("the lattice sum or its roundoff bound overflows a float")
+        roundoff = (dim + (m + 8) / 2) * _EPS * mass
+        if recentred is None:
+            shift = np.zeros(lead + (m, n), int)
+        else:
+            bound = roundoff + np.abs(total) * recentred.scale_err
+            if recentred.moved is not True:
+                bound = np.where(recentred.moved, bound, roundoff)
+            roundoff, shift = bound, recentred.shift
+    if not nonzero:
+        # the live states' results in their places, 0 at the zero states
+        out = np.zeros((3,) + shape, complex)
+        out[:, live] = total, tail, roundoff
+        shifts = np.zeros(shape + (m, n), int)
+        shifts[live] = shift
+        total, tail, roundoff, shift = out[0], out[1].real, out[2].real, shifts
+    if not shape:
+        total, tail, roundoff = complex(total), float(tail), float(roundoff)
+    return ThetaValue(total, Truncation(radius, tail, terms, roundoff, shift))
 
 
 def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
@@ -459,11 +461,8 @@ def lattice_sum(state: GaussianState, m_index, tol: float) -> ThetaValue:
     the given floating-point inputs.  A one-state m = n = 1 sum takes the
     same steps in Python scalars, whose roundings the same bound covers.
     """
-    value, radius, tail, terms, roundoff, shift = _lattice_sums(np.array(state.c), state.a, state.b,
-                                                                np.array(state.im_a_min),
-                                                                *_index_matrix(m_index), tol)
-    return ThetaValue(complex(value),
-                      Truncation(radius, float(tail), terms, float(roundoff), shift))
+    return _lattice_sums(np.array(state.c), state.a, state.b, np.array(state.im_a_min),
+                         *_index_matrix(m_index), tol)
 
 
 def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
@@ -477,9 +476,8 @@ def theta_M(m_index, p: SiegelJacobiPoint, tol: float) -> ThetaValue:
     """
     if p.omega.ndim == 2:
         return lattice_sum(GaussianState(1.0, p.omega, p.z), m_index, tol)
-    value, *cut = _lattice_sums(np.ones(len(p.omega)), p.omega, p.z, p.im_omega_min,
-                                *_index_matrix(m_index), tol)
-    return ThetaValue(value, Truncation(*cut))
+    return _lattice_sums(np.ones(len(p.omega)), p.omega, p.z, p.im_omega_min,
+                         *_index_matrix(m_index), tol)
 
 
 def siegel_theta(omega, tol: float) -> ThetaValue:
@@ -512,7 +510,8 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     2 * ``grid_points`` ticks per coordinate, and the result is the rule on
     that grid.  The coarse rule is the mean over its even-index points
     (k/N == 2k/(2N) exactly); a disagreement of the two rules above
-    1e-8 * max(1, |result|) raises ConvergenceError.
+    1e-8 * max(1, |result|) raises ConvergenceError.  T and R must have finite
+    entries (DomainError before ``func`` is sampled).
 
     ``func`` is called once, on the whole stack of k samples: ``func(omega,
     z)`` with ``omega`` of shape (k, n, n) and ``z`` of shape (k, m, n), and
@@ -524,8 +523,9 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     n, m = p0.n, p0.m
     t_matrix = np.asarray(t_matrix, dtype=float)
     r_matrix = np.asarray(r_matrix, dtype=float)
-    if t_matrix.shape != (n, n) or r_matrix.shape != (n, m):
-        raise DomainError("T must be n x n symmetric, R must be n x m")
+    if t_matrix.shape != (n, n) or r_matrix.shape != (n, m) or not (
+            np.isfinite(t_matrix).all() and np.isfinite(r_matrix).all()):
+        raise DomainError("T must be n x n symmetric, R must be n x m, both with finite entries")
     npts = 2 * _integer("grid_points", grid_points, 1)
     rows, cols = np.triu_indices(n)
     dims = len(rows) + m * n

@@ -64,11 +64,6 @@ def schrodinger_apply(m_index, h: HeisenbergElement, f: GaussianState,
     return _apply_letters(index_matrix(m_index), [("heis", (h, scale))], f)
 
 
-def sw_heisenberg_apply(m_index, h: HeisenbergElement, f: GaussianState) -> GaussianState:
-    """The Heisenberg action at the frozen SW normalization."""
-    return schrodinger_apply(m_index, h, f, scale=SW_SCALE)
-
-
 def weil_generator_apply(m_index, gen, f: GaussianState) -> GaussianState:
     """Apply one Weil generator ``("t", b)``, ``("g", alpha)`` or ``("sigma", None)``
     at the SW normalization: the one-letter word ``weil_apply_word(m_index, [gen], f)``."""

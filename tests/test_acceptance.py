@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from jacobiweil import (GaussianState, HeisenbergElement, IwasawaCoords,
+from jacobiweil import (SW_SCALE, GaussianState, HeisenbergElement, IwasawaCoords,
                         JacobiElement, LatticePair, SymplecticElement,
                         asymptotic_main_term, casimir_km,
                         check_gamma_invariance, cocycle_clm, cocycle_sl2,
@@ -19,7 +19,7 @@ from jacobiweil import (GaussianState, HeisenbergElement, IwasawaCoords,
                         gamma_n_generators,
                         ground_state, jfac, metaplectic_lifts, multiplicity,
                         sample_function, siegel_theta, slash_km_nh,
-                        state_distance, sw_heisenberg_apply, sw_rotation_apply,
+                        schrodinger_apply, state_distance, sw_rotation_apply,
                         theta_M, theta_multiplier, theta_weight_quarter,
                         weil_apply_word)
 from jacobiweil.automorphy import J_half, alpha_factor, beta_cocycle
@@ -94,9 +94,9 @@ def test_acceptance_04_intertwining():
         h = rand_heisenberg(rng, n, m)
         p = rand_point(rng, n, m)
         f = GaussianState(1.0, p.omega, p.z)
-        lhs = weil_apply_word(mm, word, sw_heisenberg_apply(mm, h, f))
+        lhs = weil_apply_word(mm, word, schrodinger_apply(mm, h, f, scale=SW_SCALE))
         base = weil_apply_word(mm, word, f)
-        rhs = sw_heisenberg_apply(mm, heis_conjugate(g, h), base)
+        rhs = schrodinger_apply(mm, heis_conjugate(g, h), base, scale=SW_SCALE)
         worst = max(worst, state_distance(lhs, rhs, mm))
     ok = worst < 1e-10
     _report(4, "stone-von-neumann-intertwining", ok, f"max={worst:.2e}")

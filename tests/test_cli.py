@@ -462,3 +462,69 @@ def test_cli_theta_flat_pair_shorthand(tmp_path, capsys):
     # without n the flat form is read strictly, as a 1 x 2 Omega
     code, doc = run({"omega": [[0, 1]], "z": [[0, 0]], "m": 1})
     assert code == 2 and "expected a square matrix, got shape (1, 2)" in doc["error"]
+
+
+# The JobResult of each VALID_PARAMS spec (tol 1e-9 where the command reads one), as
+# sorted-key JSON without wall_time, captured from the schema-1 CLI: a change to the
+# output format changes this text on purpose.
+JOB_BYTES = {
+    "casimir": (
+        '{"certification": {"step": 0.001}, "command": "casimir", '
+        '"inputs": {"params": {"function": "constant", "h": 0.001, "k": 2, "m": 1, "tau": [0.2, '
+        '1.1], "z": [0.1, 0.2]}, "seed": null, "tol": null}, "outputs": {"value": [0.625, 0.0]}, '
+        '"passed": true, "schema": "1", "version": "0.1.0"}'),
+    "cocycle": (
+        '{"certification": {}, "command": "cocycle", "inputs": {"params": {"M1": [[0.0, -1.0], '
+        '[1.0, 0.0]], "M2": [[1.0, 0.0], [1.0, 1.0]], "g1": {"matrix": [[0.0, -1.0], [1.0, '
+        '0.0]]}, "g2": {"matrix": [[1.0, 0.0], [1.0, 1.0]]}, "lagrangian": [[1.0], [0.0]], '
+        '"m": 1.0, "n": 1, "type": "clm"}, "seed": null, "tol": null}, '
+        '"outputs": {"value": [0.7071067811865476, -0.7071067811865475]}, "passed": true, '
+        '"schema": "1", "version": "0.1.0"}'),
+    "covariance": (
+        '{"certification": {}, "command": "covariance", "inputs": {"params": {"M": [[1.0]], '
+        '"branch": "auto", "heisenberg": {"kappa": [[0.0]], "lambda": [[0.1]], "mu": [[0.2]]}, '
+        '"point": {"omega": [[[0.1, 1.2]]], "z": [[[0.1, 0.3]]]}, "word": [["sigma", null], '
+        '["t", [[0.4]]], ["g", [[2.0]]]]}, "seed": null, "tol": 1e-09}, '
+        '"outputs": {"eps": [0.7414525335518785, -0.6710053207609464], '
+        '"residual": 2.482534153247273e-16}, "passed": true, "schema": "1", "version": "0.1.0"}'),
+    "maslov": (
+        '{"certification": {}, "command": "maslov", '
+        '"inputs": {"params": {"lagrangians": [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]]]}, '
+        '"seed": null, "tol": null}, "outputs": {"index": -1}, "passed": true, "schema": "1", '
+        '"version": "0.1.0"}'),
+    "multiplicity": (
+        '{"certification": {}, "command": "multiplicity", "inputs": {"params": {"m": 2, "n": 2, '
+        '"taus": [2, 0]}, "seed": null, "tol": null}, "outputs": {"multiplicity": 3}, '
+        '"passed": true, "schema": "1", "version": "0.1.0"}'),
+    "theta": (
+        '{"certification": {"radius": 1, "roundoff_bound": 4.931885090601649e-15, '
+        '"tail_bound": 4.864622683763728e-11, "terms": 3}, "command": "theta", '
+        '"inputs": {"params": {"M": [[2.0]], "m": 1, "n": 1, "omega": [[[0.0, 1.0]]], '
+        '"z": [[[0.0, 0.0]]]}, "seed": null, "tol": 1e-09}, '
+        '"outputs": {"value": [1.003734885463416, 0.0]}, "passed": true, "schema": "1", '
+        '"version": "0.1.0"}'),
+    "theta-sum": (
+        '{"certification": {"radius": 2, "roundoff_bound": 8.292521477328689e-15, '
+        '"tail_bound": 2.1021940704025817e-12, "terms": 5}, "command": "theta-sum", '
+        '"inputs": {"params": {"f": {"A": [[[0.0, 1.0]]], "B": [[[0.0, 0.0]]], "c": [1.0, 0.0]}, '
+        '"lambda": [0.0], "mu": [0.0], "n": 1, "t": 0.0, "tau": [0.0, 1.0], "theta": 0.0}, '
+        '"seed": null, "tol": 1e-09}, "outputs": {"value": [1.086434811212257, 0.0]}, '
+        '"passed": true, "schema": "1", "version": "0.1.0"}'),
+    "verify-suite": (
+        '{"certification": {"max_residual": 0.0, "tol": 1e-09}, "command": "verify-suite", '
+        '"inputs": {"params": {"count": 2, "name": "cocycles", "seed": 1}, "seed": null, '
+        '"tol": 1e-09}, "outputs": {"count": 2, "failures": [], "max_residual": 0.0, '
+        '"passed": true, "seed": 1, "suite": "cocycles", "tol": 1e-09}, "passed": true, '
+        '"schema": "1", "version": "0.1.0"}'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_PARAMS))
+def test_each_command_keeps_its_bytes(command):
+    spec = {"command": command, "params": VALID_PARAMS[command]}
+    if command in ("theta", "theta-sum", "covariance", "verify-suite"):
+        spec["tol"] = 1e-9
+    result, code = run_job(spec)
+    del result["wall_time"]
+    assert code == 0
+    assert json.dumps(result, sort_keys=True) == JOB_BYTES[command]

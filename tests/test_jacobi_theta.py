@@ -230,7 +230,7 @@ def _main_term_rotating_twice(f, g, coords, xi, tol=1e-12):
     shift = y * (mu @ a @ mu.T)[0, 0] - 2 * ry * (mu @ b.T)[0, 0]
     product = GaussianState(f_th.c * np.conj(g_th.c) * np.exp(1j * np.pi * shift),
                             y * a, ry * b - y * (mu @ a))
-    total, vf, vg = jacobi_theta._stack_sums([product, th_f, th_g], tol)[0]
+    total, vf, vg = jacobi_theta._stack_sums([product, th_f, th_g], tol).value
     main, actual = y ** (xi.n / 2) * total, vf * np.conj(vg)
     return complex(main), complex(actual), float(abs(actual - main))
 
@@ -309,11 +309,10 @@ def test_rotation_matches_explicit_kernel_with_staircase_phase():
 
 def _stack(states, tol):
     """The values and error bounds of states summed as one stack at M = 1."""
-    value, _, tail, _, roundoff, _ = _lattice_sums(
-        np.array([s.c for s in states]), np.array([s.a for s in states]),
-        np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-        *_index_matrix(np.eye(1)), tol)
-    return value, tail + roundoff
+    tv = _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
+                       np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
+                       *_index_matrix(np.eye(1)), tol)
+    return tv.value, tv.truncation.tail_bound + tv.truncation.roundoff_bound
 
 
 def _one(state, tol):

@@ -2,7 +2,9 @@
 
 ``PUBLIC`` pins, by defining module, the names that ``jacobiweil`` exported
 when its ``__init__`` imported every submodule eagerly: none may be dropped,
-and each must be the very object its module holds.
+and each must be the very object its module holds.  ``REMOVED`` lists the
+public names dropped since, each with the call that replaces it; the package
+and its defining module refuse each one.
 """
 
 import importlib
@@ -34,8 +36,11 @@ PUBLIC = {
               "sample_grid state_distance",
     "theta": "ThetaValue Truncation fourier_coefficient lattice_sum siegel_theta theta_M "
              "theta_weight_quarter",
-    "weil": "SW_SCALE covariance_residual rotation_word schrodinger_apply sw_heisenberg_apply "
-            "sw_iwasawa_apply sw_rotation_apply weil_apply_word weil_generator_apply",
+    "weil": "SW_SCALE covariance_residual rotation_word schrodinger_apply sw_iwasawa_apply "
+            "sw_rotation_apply weil_apply_word weil_generator_apply",
+}
+REMOVED = {
+    ("weil", "sw_heisenberg_apply"): "schrodinger_apply(m_index, h, f, scale=SW_SCALE)",
 }
 DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
@@ -55,6 +60,13 @@ def test_each_name_is_its_defining_modules_object():
         assert getattr(jacobiweil, name) is obj, name
         assert single[name] is obj, name
         assert star[name] is obj, name
+
+
+def test_removed_names_are_refused():
+    for module, name in REMOVED:
+        assert name not in jacobiweil.__all__
+        assert not hasattr(jacobiweil, name)
+        assert not hasattr(importlib.import_module(f"jacobiweil.{module}"), name)
 
 
 def test_defining_modules_are_attributes():

@@ -15,7 +15,7 @@ from jacobiweil import (DomainError, GaussianState, HeisenbergElement,
                         SiegelJacobiPoint, SymplecticElement, covariant_map,
                         covariance_residual, evaluate, ground_state,
                         l2_norm_sq, sample_grid, schrodinger_apply,
-                        sp_generator, state_distance, sw_heisenberg_apply,
+                        sp_generator, state_distance,
                         theta_M, weil_apply_word, weil_generator_apply)
 from jacobiweil.automorphy import metaplectic_lifts
 from jacobiweil.groups import word_to_symplectic
@@ -162,8 +162,8 @@ def test_schrodinger_is_representation_at_sw_scale(rng):
     f = rand_state(rng, 2, 2)
     h1, h2 = rand_heisenberg(rng, 2, 2), rand_heisenberg(rng, 2, 2)
     from jacobiweil import heis_mul
-    lhs = sw_heisenberg_apply(mm, h1, sw_heisenberg_apply(mm, h2, f))
-    rhs = sw_heisenberg_apply(mm, heis_mul(h1, h2), f)
+    lhs = schrodinger_apply(mm, h1, schrodinger_apply(mm, h2, f, scale=SW_SCALE), scale=SW_SCALE)
+    rhs = schrodinger_apply(mm, heis_mul(h1, h2), f, scale=SW_SCALE)
     assert state_distance(lhs, rhs, mm) < 1e-11
 
 
@@ -324,10 +324,10 @@ def test_stone_von_neumann_intertwining(rng):
         g = word_to_symplectic(word, n)
         h = rand_heisenberg(rng, n, m)
         f = rand_state(rng, n, m)
-        lhs = weil_apply_word(mm, word, sw_heisenberg_apply(mm, h, f))
+        lhs = weil_apply_word(mm, word, schrodinger_apply(mm, h, f, scale=SW_SCALE))
         moved = heis_conjugate(g, h)
         base = weil_apply_word(mm, word, f)
-        rhs = sw_heisenberg_apply(mm, moved, base)
+        rhs = schrodinger_apply(mm, moved, base, scale=SW_SCALE)
         worst = max(worst, state_distance(lhs, rhs, mm))
     assert worst < 1e-10
 

@@ -109,6 +109,15 @@ def test_overflowing_sums_raise_resource_error():
         with pytest.raises(ResourceError) as info:
             theta_M([[m]], SiegelJacobiPoint([[1j]], [[0j]]), 1e-9)
         assert str(info.value) == "the lattice sum or its roundoff bound overflows a float"
+    # the drift ||M Im B|| overflows: also formed in the quiet block; re-centred, the
+    # first amplitude overflows, and the second point is too far out to shift
+    with pytest.raises(ResourceError) as info:
+        lattice_sum(GaussianState(1, [[1e300j]], [[1e300 + 1e300j]]), [[1]], 1e-9)
+    assert str(info.value) == "the re-centred amplitude exp(3.14159e+300) overflows a float"
+    with pytest.raises(ResourceError) as info:
+        theta_M(np.eye(1), SiegelJacobiPoint(np.array([[[1j]], [[1j]]]),
+                                             np.array([[[0.1]], [[1e300 + 1e300j]]])), 1e-9)
+    assert str(info.value) == "tolerance 1e-09 unreachable within radius cap 10000"
 
 
 def test_siegel_theta_anchor():
@@ -326,6 +335,20 @@ def test_fourier_constant_function():
     for bad in (0, -3, 2.5, 2.0, True):
         with pytest.raises(DomainError):
             fourier_coefficient(one, np.array([[0.0]]), np.array([[0.0]]), p0, grid_points=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["T", "R"])
+def test_fourier_refuses_a_non_finite_t_or_r(bad, which):
+    # refused before func is sampled, with no numpy warning (filterwarnings = error)
+    p0 = SiegelJacobiPoint(np.array([[0.9j]]), np.array([[0j]]))
+    calls = []
+    mats = {"T": np.array([[1.0]]), "R": np.array([[2.0]])}
+    mats[which] = np.array([[bad]])
+    with pytest.raises(DomainError, match="both with finite entries"):
+        fourier_coefficient(lambda omega, z: calls.append(1), mats["T"], mats["R"], p0,
+                            grid_points=4)
+    assert not calls
 
 
 def test_fourier_takes_a_numpy_integer_grid():

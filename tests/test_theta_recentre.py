@@ -63,9 +63,12 @@ def test_drifted_sums_match_mpmath_within_their_bounds(case):
 
 
 def _kernel(states, mm, tol):
-    return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
-                         np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-                         *_index_matrix(np.array(mm)), tol)
+    """The kernel's values, radius, tail bounds, terms, roundoff bounds and shifts."""
+    tv = _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
+                       np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
+                       *_index_matrix(np.array(mm)), tol)
+    t = tv.truncation
+    return tv.value, t.radius, t.tail_bound, t.terms, t.roundoff_bound, t.shift
 
 
 # (M, unshifted state, shifted state): the shifted state decays faster, so a

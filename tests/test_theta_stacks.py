@@ -109,9 +109,11 @@ def test_stacked_theta_value_shapes():
 
 def _kernel(states, mm, tol):
     """The kernel's values, radius, tail bounds, terms and roundoff bounds."""
-    return _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
-                         np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
-                         *_index_matrix(np.array(mm)), tol)[:5]
+    tv = _lattice_sums(np.array([s.c for s in states]), np.array([s.a for s in states]),
+                       np.array([s.b for s in states]), np.array([s.im_a_min for s in states]),
+                       *_index_matrix(np.array(mm)), tol)
+    t = tv.truncation
+    return tv.value, t.radius, t.tail_bound, t.terms, t.roundoff_bound
 
 
 def _golden_state(i):
@@ -147,6 +149,19 @@ def test_a_stack_of_zero_states_sums_nothing():
         assert x.shape == (3,) and not x.any()
     tv = lattice_sum(ZEROS[2], np.eye(1), 1e-10)
     assert (tv.value, tv.truncation) == (0j, type(tv.truncation)(0, 0.0, 0, 0.0))
+
+
+@pytest.mark.parametrize("state", [
+    ZEROS[1], ZEROS[2], GaussianState(0.7 - 0.2j, [[0.1 + 1j]], [[0.2 + 0.02j]]),
+    GaussianState(1.3 + 0.4j, [[-0.3 + 2.0j]], [[0.2 + 3.7j]]),
+    GaussianState(0.5j, [[0.2 + 2.2j, 0.1], [0.1, 0.4 + 2.1j]], [[0.3 + 2.9j, -0.1 - 4.2j]])])
+def test_one_state_sums_hold_python_scalars(state):
+    # zero, unshifted and shifted states: the kernel's one result, as lattice_sum returns it
+    tv = lattice_sum(state, np.eye(1), 1e-10)
+    t = tv.truncation
+    assert type(tv.value) is complex
+    assert type(t.tail_bound) is float and type(t.roundoff_bound) is float
+    assert type(t.radius) is int and type(t.terms) is int and t.shift.shape == state.shape
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement, IwasawaCoords,
                         LatticePair, SiegelJacobiPoint, asymptotic_main_term,
                         check_gamma_invariance, covariance_residual, gamma_n_generators,
-                        state_distance, sw_heisenberg_apply, sw_iwasawa_apply,
+                        schrodinger_apply, state_distance, sw_iwasawa_apply,
                         sw_rotation_apply, theta_state, theta_sum_f, weil_apply_word,
                         weil_generator_apply, word_to_symplectic, xi_to_heisenberg)
 from jacobiweil import automorphy, fock, groups, linalg, states, theta
 from jacobiweil.automorphy import J_half, metaplectic_lifts
 from jacobiweil.groups import _letter
-from jacobiweil.weil import _iwasawa_letters
+from jacobiweil.weil import SW_SCALE, _iwasawa_letters
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "jacobiweil"
 
@@ -83,8 +83,8 @@ def test_one_call_chains_match_one_operator_chains(seed, n, m):
     if m == 1:
         xi = LatticePair(h.lam[0], h.mu[0])
         one = np.eye(1)
-        steps = sw_heisenberg_apply(one, xi_to_heisenberg(xi, 0.3),
-                                    sw_iwasawa_apply(one, coords, f))
+        steps = schrodinger_apply(one, xi_to_heisenberg(xi, 0.3),
+                                  sw_iwasawa_apply(one, coords, f), scale=SW_SCALE)
         _same(theta_state(f, coords, xi, 0.3), steps)
 
 
