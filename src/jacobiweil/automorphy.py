@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, _integer
+from .errors import DomainError, InvariantViolation, ResourceError, _integer
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _one_point, _sp_act)
 from .linalg import _siegel_omega, holo_sqrt_det, principal_pow_half
@@ -32,12 +32,17 @@ def jfac(g: SymplecticElement, omega) -> np.ndarray:
     return c @ _siegel_omega(omega) + d
 
 
+# a factor past the float range raises ResourceError, with no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _index_factor(mm: np.ndarray, g: SymplecticElement, h: HeisenbergElement,
                   p: SiegelJacobiPoint, s: float = 1.0, eps=None, power: int = 0) -> complex:
     """The index-M exponentials exp(2 pi i s e1) exp(-2 pi i s e2), times
     J_half((g, eps), O)^power when the lift's eps is given, with M already checked: with
     W = Z + lam O + mu, e1 = tr(M W (CO+D)^{-1} C W^T) and
-    e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T))."""
+    e2 = tr(M(lam O lam^T + 2 lam Z^T + kappa + mu lam^T)).
+
+    Raises ResourceError when the factor is not finite, as a theta sum does
+    when its amplitude overflows; every finite factor keeps its bits."""
     lam, mu, kap = h.lam, h.mu, h.kappa
     omega, z = _one_point(p).omega, p.z
     _, _, c, d = g.blocks
@@ -47,6 +52,8 @@ def _index_factor(mm: np.ndarray, g: SymplecticElement, h: HeisenbergElement,
     val = np.exp(2j * np.pi * s * e1) * np.exp(-2j * np.pi * s * e2)
     if eps is not None:
         val = val * _j_half(g, eps, omega) ** power
+    if not cmath.isfinite(val):
+        raise ResourceError(f"the index-M factor {complex(val)} is not finite")
     return complex(val)
 
 

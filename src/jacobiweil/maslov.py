@@ -8,6 +8,7 @@ column spans from the left.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -211,6 +212,13 @@ def _draw_word(rng: np.random.Generator, n: int) -> list:
     symmetric, and a g candidate alpha = I + 0.6 N(0, 1), redrawn while
     |det alpha| < 0.3 (``_letter`` refuses below 1e-12), is (alpha, det alpha).
     Every candidate adds its noise to the one shared identity of ``_eye``.
+
+    Letter by letter, one ``Generator`` call per step.  The suites draw their
+    words in batches (``_draw_words``), from the same distribution in another
+    order; ``random_symplectic`` and ``random_lagrangian`` keep this stream,
+    because the seeded property tests are defined on it: on the batch
+    stream, those tests would get other inputs, some of them past the float
+    range.
     """
     word = []
     eye = _eye(n)
@@ -229,6 +237,42 @@ def _draw_word(rng: np.random.Generator, n: int) -> list:
         else:
             word.append(("sigma", None))
     return word
+
+
+def _draw_words(rng: np.random.Generator, n: int, k: int) -> list:
+    """k random words from ``_draw_word``'s distribution, its letters in
+    the same form and with the same bits, drawn in a few numpy passes:
+
+    1. the k lengths, ``rng.integers(1, 5, size=k)``;
+    2. the kinds of all the letters, word after word, ``rng.integers(3,
+       size=total)``, 0 for t, 1 for g and 2 for sigma;
+    3. every t parameter, in letter order, as one block 0.6 N of shape
+       (t letters, n, n), each letter 0.5 (b + b^T);
+    4. every g candidate, in letter order, as one block I + 0.6 N with one
+       stacked ``np.linalg.det`` (the single-matrix det's bits);
+    5. redraw rounds: each round redraws every candidate with |det| < 0.3,
+       in letter order, from one ``normal`` call, until none is left.
+    """
+    lengths = rng.integers(1, 5, size=k)
+    kinds = rng.integers(3, size=int(lengths.sum()))
+    ts, gs = np.flatnonzero(kinds == 0), np.flatnonzero(kinds == 1)
+    b = 0.6 * rng.normal(size=(len(ts), n, n))
+    b = 0.5 * (b + b.swapaxes(1, 2))
+    eye = _eye(n)
+    al = eye + 0.6 * rng.normal(size=(len(gs), n, n))
+    det = np.linalg.det(al)
+    redraw = np.flatnonzero(abs(det) < 0.3)
+    while redraw.size:
+        al[redraw] = eye + 0.6 * rng.normal(size=(redraw.size, n, n))
+        det[redraw] = np.linalg.det(al[redraw])
+        redraw = redraw[abs(det[redraw]) < 0.3]
+    letters = [("sigma", None)] * len(kinds)
+    for x, par in zip(ts.tolist(), b):
+        letters[x] = ("t", par)
+    for x, a, d in zip(gs.tolist(), al, det):
+        letters[x] = ("g", (a, d))
+    ends = itertools.accumulate(lengths.tolist())
+    return [letters[end - length:end] for end, length in zip(ends, lengths.tolist())]
 
 
 def random_symplectic(rng: np.random.Generator, n: int) -> SymplecticElement:

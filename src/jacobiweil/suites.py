@@ -10,6 +10,7 @@ in which absolute residual gates are meaningful for double precision
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import DomainError, _integer
 from .groups import (HeisenbergElement, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _require_symplectic, _word_products)
 from .maass import casimir_km, sample_function
-from .maslov import (_chain_triples, _cocycle_phase, _coordinate_basis, _draw_word,
+from .maslov import (_chain_triples, _cocycle_phase, _coordinate_basis, _draw_words,
                      _indices, _require_lagrangian, _tau_bases, cocycle_sl2)
 from .theta import siegel_theta, theta_M, theta_weight_quarter
 from .weil import covariance_residual
@@ -219,28 +220,32 @@ def _axiom_pass(n: int, cases) -> list:
 def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
     """Lemma-style axioms for the triple/chain index, exact integer equality.
 
-    Every case is drawn first, each in a fixed order: n, six Lagrangians, g,
-    the chain length d, an auxiliary Lagrangian when d = 6, then g1, g2 and
-    g3.  Then each dimension drawn, n = 1, 2, 3 in turn, has one stacked pass
-    (``_axiom_pass``): one product, one symplectic and one Lagrangian check,
-    and one Maslov kernel call for all of its cases.  When a stacked check
-    raises, the cases are run again one at a time, in order, so the error is
-    the first case's, as one case at a time would raise it.
+    Every case is drawn first: the dimension n of every case
+    (``rng.integers(1, 4, size=count)``), the chain length d of every case
+    (``rng.integers(3, 7, size=count)``), then, for each dimension drawn,
+    n = 1, 2, 3 in turn, the words of its cases in case order from one
+    ``maslov._draw_words`` call.  A case's words are six Lagrangians, g, an
+    auxiliary Lagrangian when d = 6, then g1, g2 and g3.  Then each dimension
+    drawn has one stacked pass (``_axiom_pass``): one product, one symplectic
+    and one Lagrangian check, and one Maslov kernel call for all of its
+    cases.  When a stacked check raises, the cases are run again one at a
+    time, in order, so the error is the first case's, as one case at a time
+    would raise it.
     """
     seed, count, rng = _draws(seed, count)
-    cases = []
-    for _ in range(count):
-        n = (1, 2, 3)[rng.integers(3)]
-        words = [_draw_word(rng, n) for _ in range(7)]  # six Lagrangians, then g
-        d = int(rng.integers(3, 7))  # chain length, up to 6
-        words += [_draw_word(rng, n) for _ in range(4 if d == 6 else 3)]
-        cases.append((n, d, words))
+    dims = rng.integers(1, 4, size=count).tolist()
+    chains = rng.integers(3, 7, size=count).tolist()
+    by_dim = {n: [i for i, dim in enumerate(dims) if dim == n] for n in sorted(set(dims))}
+    cases = [None] * count
+    for n, ids in by_dim.items():
+        sizes = [11 if chains[i] == 6 else 10 for i in ids]
+        words = iter(_draw_words(rng, n, sum(sizes)))
+        for i, size in zip(ids, sizes):
+            cases[i] = (n, chains[i], list(itertools.islice(words, size)))
     results = {}
     try:
-        for n in (1, 2, 3):
-            ids = [i for i, case in enumerate(cases) if case[0] == n]
-            if ids:
-                results.update(zip(ids, _axiom_pass(n, [cases[i][1:] for i in ids])))
+        for n, ids in by_dim.items():
+            results.update(zip(ids, _axiom_pass(n, [cases[i][1:] for i in ids])))
     except (ValueError, RuntimeError):
         # the package's errors, numpy's LinAlgError among them; a stacked
         # check raises the first error of its dimension, not of the suite
@@ -265,8 +270,9 @@ def suite_maslov_axioms(seed: int, count: int, tol: float = 0.0) -> dict:
 def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
     """cocycle_clm vs cocycle_sl2 on SL(2) pairs; the cocycle condition on Sp(2).
 
-    Every case is drawn first, in order: ``count`` SL(2) pairs, then
-    max(1, count // 5) triples of random words at n = 2.  One
+    Every case is drawn first, in order: ``count`` SL(2) pairs, then the
+    3 max(1, count // 5) words at n = 2 of the word triples, from one
+    ``maslov._draw_words`` call.  One
     ``_require_symplectic`` call checks the pairs, and one the word products
     with g1 g2 and g2 g3; the Maslov indices of each dimension come from one
     ``maslov._indices`` call, and each becomes a ``cocycle_clm`` value by
@@ -288,7 +294,7 @@ def suite_cocycles(seed: int, count: int, tol: float = 1e-12) -> dict:
                              "m1": serialize.encode_matrix(m1),
                              "m2": serialize.encode_matrix(m2), "defect": d})
     cases = max(1, count // 5)
-    prods = _word_products([_draw_word(rng, 2) for _ in range(3 * cases)], 2)
+    prods = _word_products(_draw_words(rng, 2, 3 * cases), 2)
     g1, g2, g3 = prods.reshape(cases, 3, 4, 4).swapaxes(0, 1)
     g12, g23 = g1 @ g2, g2 @ g3
     _require_symplectic(np.concatenate([prods, g12, g23]))

@@ -111,20 +111,28 @@ def _least_radius(tol: float, dim: int, amp: float, decay: float, drift: float,
     c > 0.  So the scan starts at R = floor(r*) - 1 (at 1 unless
     c > 16 decay, so r* > 4, and r* < RADIUS_CAP + 2) and steps up by 1:
     once the majorant is finite it stays finite and at least halves with each
-    step, so the first R that passes is the least.  c is a difference of
-    logs: tol = inf gives c = -inf and the start 1, and a tiny tol cannot
-    overflow 4d amp / tol.
+    step, so the first R that passes is the least.  c is a sum of logs:
+    tol = inf gives c = -inf and the start 1, and neither an amp near the
+    float limit nor a tiny tol can overflow 4d amp / tol.
+
+    The refusal comes at once, with no majorant taken, when no R <= RADIUS_CAP
+    can pass: when r* >= RADIUS_CAP + 2, so that every R + 1 <= RADIUS_CAP + 1
+    is a whole step below the root, or when drift or log_amp is +inf or NaN,
+    which makes the majorant inf or NaN at every radius.
     """
     if amp == 0:
         return 0
     radius = 1
-    c = log_amp + math.log(4 * dim * amp) - math.log(tol)
+    c = log_amp + math.log(4 * dim) + math.log(amp) - math.log(tol)
     # c > 16 decay means r* > 4: only then can the start save a step
     if c > 16 * decay:
         root = (drift + math.sqrt(drift * drift + 4 * decay * c)) / (2 * decay)
-        if root < RADIUS_CAP + 2:
-            radius = math.floor(root) - 1
-    while not amp * _tail_majorant(radius, dim, decay, drift, log_amp) <= tol:
+        radius = math.floor(root) - 1 if root < RADIUS_CAP + 2 else RADIUS_CAP + 1
+    if not (drift < math.inf and log_amp < math.inf):
+        radius = RADIUS_CAP + 1
+    # a radius past the cap is refused without a majorant
+    while radius > RADIUS_CAP or not amp * _tail_majorant(radius, dim, decay, drift,
+                                                         log_amp) <= tol:
         if radius >= RADIUS_CAP:
             raise ResourceError(f"tolerance {tol} unreachable within radius cap {RADIUS_CAP}")
         radius += 1
@@ -511,7 +519,10 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
     that grid.  The coarse rule is the mean over its even-index points
     (k/N == 2k/(2N) exactly); a disagreement of the two rules above
     1e-8 * max(1, |result|) raises ConvergenceError.  T and R must have finite
-    entries (DomainError before ``func`` is sampled).
+    entries (DomainError before ``func`` is sampled).  The factor
+    exp(2 pi (tr(T Im Omega0) + tr(R Im Z0))) that undoes the fixed imaginary
+    parts is formed before ``func`` is sampled; when it, or the result, is
+    past the float range, ResourceError is raised, with no numpy warning.
 
     ``func`` is called once, on the whole stack of k samples: ``func(omega,
     z)`` with ``omega`` of shape (k, n, n) and ``z`` of shape (k, m, n), and
@@ -527,6 +538,13 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
             np.isfinite(t_matrix).all() and np.isfinite(r_matrix).all()):
         raise DomainError("T must be n x n symmetric, R must be n x m, both with finite entries")
     npts = 2 * _integer("grid_points", grid_points, 1)
+    # compensate the fixed imaginary parts to get the true coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = np.exp(-2j * np.pi * (np.trace(t_matrix @ (1j * p0.omega.imag))
+                                     + np.trace(r_matrix @ (1j * p0.z.imag))))
+    if not cmath.isfinite(comp):
+        raise ResourceError("the factor exp(2 pi (tr(T Im Omega0) + tr(R Im Z0))) "
+                            "overflows a float")
     rows, cols = np.triu_indices(n)
     dims = len(rows) + m * n
     idx = np.indices((npts,) * dims).reshape(dims, -1)
@@ -540,12 +558,12 @@ def fourier_coefficient(func, t_matrix, r_matrix, p0: SiegelJacobiPoint,
                           f"got shape {samples.shape}")
     # tr(T X) + tr(R U) as a linear form in the coordinates
     weights = np.concatenate([(t_matrix + np.triu(t_matrix.T, 1))[rows, cols], r_matrix.T.ravel()])
-    terms = samples * np.exp(-2j * np.pi * (weights @ pts))
-    # compensate the fixed imaginary parts to get the true coefficient
-    comp = np.exp(-2j * np.pi * (np.trace(t_matrix @ (1j * p0.omega.imag))
-                                 + np.trace(r_matrix @ (1j * p0.z.imag))))
-    fine = complex(terms.mean() * comp)
-    coarse = complex(terms[(idx % 2 == 0).all(axis=0)].mean() * comp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = samples * np.exp(-2j * np.pi * (weights @ pts))
+        fine = complex(terms.mean() * comp)
+        coarse = complex(terms[(idx % 2 == 0).all(axis=0)].mean() * comp)
+    if not (cmath.isfinite(fine) and cmath.isfinite(coarse)):
+        raise ResourceError("the Fourier coefficient overflows a float")
     if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
         raise ConvergenceError(
             f"quadrature refinement moved the coefficient by {abs(fine - coarse):.3e}")

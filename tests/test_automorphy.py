@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, HalfWeight, HeisenbergElement,
                         J_half, J_kM_half, J_M, J_star_M, JacobiElement,
-                        MetaplecticElement, SiegelJacobiPoint,
+                        MetaplecticElement, ResourceError, SiegelJacobiPoint,
                         SymplecticElement, alpha_factor, beta_cocycle,
                         epsilon_g, fock_cocycle, gamma_pair,
                         invariant_volume_density, jacobi_act, jacobi_mul,
@@ -80,6 +80,23 @@ def test_J_M_cocycle(rng):
         lhs = J_M(mm, jacobi_mul(a, b), p)
         rhs = J_M(mm, a, jacobi_act(b, p)) * J_M(mm, b, p)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+def test_index_factors_refuse_an_overflow():
+    # at Omega = i and C = 0, the factor is exp(2 pi s lambda^2): finite at
+    # lambda = 10 and s = 1, past the float range at lambda = 11 (s = 1) and
+    # at lambda = 16 (s = 1/2, J*), where it raises ResourceError with no
+    # numpy warning
+    p = SiegelJacobiPoint([[1j]], [[0j]])
+    one = MetaplecticElement(SymplecticElement(np.eye(2)), 1.0)
+    heis = [HeisenbergElement([[lam]], [[0.0]], [[0.0]]) for lam in (10.0, 11.0, 16.0)]
+    value = J_M(np.eye(1), JacobiElement(one.g, heis[0]), p)
+    assert value == pytest.approx(math.exp(200 * math.pi), rel=1e-12)
+    for call in (lambda: J_M(np.eye(1), JacobiElement(one.g, heis[1]), p),
+                 lambda: J_kM_half(HalfWeight(1, np.eye(1)), one, heis[1], p),
+                 lambda: J_star_M(np.eye(1), one, heis[2], p)):
+        with pytest.raises(ResourceError, match="^the index-M factor .* is not finite$"):
+            call()
 
 
 # --- gamma / epsilon / alpha / beta ----------------------------------------------

@@ -345,6 +345,20 @@ def _run_cli(args, env):
     return proc.returncode, proc.stdout
 
 
+def test_cli_overflowing_covariance_factor_is_a_quiet_resource_error(cli_env):
+    # at lambda = 16 the index-M factor exp(2 pi 16^2 / 2) is past the float
+    # range: the job refuses it (exit 3) and prints no numpy warning
+    spec = {"command": "covariance",
+            "params": {"M": [[1.0]], "word": [],
+                       "heisenberg": {"lambda": [[16.0]], "mu": [[0.0]], "kappa": [[0.0]]},
+                       "point": {"omega": [[[0.0, 1.0]]], "z": [[[0.0, 0.0]]]}}}
+    proc = subprocess.run([sys.executable, "-m", "jacobiweil.cli", "--job", "-"],
+                          input=json.dumps(spec), capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "schema": "1", "error": "resource: the index-M factor (nan+nanj) is not finite"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--suite", "bogus"], "usage: unknown suite 'bogus'; available: " + str(sorted(SUITES))),
     (["--seed", "abc"], "usage: argument --seed: invalid int value: 'abc'"),

@@ -299,25 +299,69 @@ def test_word_products_match_per_word(n):
 # --- the suites against their case-by-case form --------------------------------
 
 
-def _random_lagrangian_per_letter(rng, n):
-    return Lagrangian(_random_symplectic_per_letter(rng, n).g
-                      @ np.vstack([np.eye(n), np.zeros((n, n))]))
+def _words_in_batch_order(rng, n, k):
+    """k words in ``maslov._draw_words``'s documented order, one ``Generator``
+    call per step and the rest letter by letter: the k lengths, every kind,
+    one block of t parameters, one block of g candidates, then one block per
+    redraw round for the candidates with |det| < 0.3, in letter order."""
+    lengths = rng.integers(1, 5, size=k).tolist()
+    kinds = [("t", "g", "sigma")[kind] for kind in rng.integers(3, size=sum(lengths)).tolist()]
+    ts = [x for x, kind in enumerate(kinds) if kind == "t"]
+    gs = [x for x, kind in enumerate(kinds) if kind == "g"]
+    letters = [("sigma", None)] * len(kinds)
+    for x, b in zip(ts, 0.6 * rng.normal(size=(len(ts), n, n))):
+        letters[x] = ("t", 0.5 * (b + b.T))
+    alphas = list(np.eye(n) + 0.6 * rng.normal(size=(len(gs), n, n)))
+    redraw = [j for j, al in enumerate(alphas) if abs(np.linalg.det(al)) < 0.3]
+    while redraw:
+        for j, al in zip(redraw, np.eye(n) + 0.6 * rng.normal(size=(len(redraw), n, n))):
+            alphas[j] = al
+        redraw = [j for j in redraw if abs(np.linalg.det(alphas[j])) < 0.3]
+    for x, al in zip(gs, alphas):
+        letters[x] = ("g", (al, np.linalg.det(al)))
+    ends = np.cumsum(lengths).tolist()
+    return [letters[end - length:end] for end, length in zip(ends, lengths)]
+
+
+def _per_letter_product(word, n):
+    """The product of a word in ``_letter``'s form as the word products were
+    first written: a checked element per generator and per partial product."""
+    g = sp_identity(n)
+    for kind, par in word:
+        g = g @ sp_generator(kind, par if kind != "g" else par[0], n)
+    return g
+
+
+def _maslov_axioms_words(rng, count):
+    """Each case's n, chain length d and words, drawn in ``suite_maslov_axioms``'s
+    documented order: every n, every d, then each dimension's words in case
+    order, 10 per case, or 11 when d = 6."""
+    dims = rng.integers(1, 4, size=count).tolist()
+    chains = rng.integers(3, 7, size=count).tolist()
+    words = [None] * count
+    for n in (1, 2, 3):
+        ids = [i for i in range(count) if dims[i] == n]
+        sizes = [11 if chains[i] == 6 else 10 for i in ids]
+        drawn = _words_in_batch_order(rng, n, sum(sizes)) if ids else []
+        for i, end, size in zip(ids, np.cumsum(sizes).tolist(), sizes):
+            words[i] = drawn[end - size:end]
+    return list(zip(dims, chains, words))
 
 
 def _maslov_axioms_case_by_case(rng, count):
-    """``suite_maslov_axioms`` as it was written: each draw checked on its own
-    and each index from the public one-triple or one-chain functions."""
+    """``suite_maslov_axioms`` as it was first written, on the documented draws:
+    each product checked letter by letter and each index from the public
+    one-triple or one-chain functions."""
     failures, worst, checks = [], 0, 0
-    for i in range(count):
-        n = (1, 2, 3)[rng.integers(3)]
-        ls = [_random_lagrangian_per_letter(rng, n) for _ in range(6)]
-        g = _random_symplectic_per_letter(rng, n)
-        d = int(rng.integers(3, 7))
-        aux = ls[-1] if d < 6 else _random_lagrangian_per_letter(rng, n)
-        g1, g2, g3 = (_random_symplectic_per_letter(rng, n) for _ in range(3))
+    for i, (n, d, words) in enumerate(_maslov_axioms_words(rng, count)):
+        gs = [_per_letter_product(word, n) for word in words]
+        o = coordinate_lagrangian(n)
+        ls = [o.transformed(x) for x in gs[:6]]
+        g = gs[6]
+        aux = ls[-1] if d < 6 else o.transformed(gs[7])
+        g1, g2, g3 = gs[-3:]
         l1, l2, l3, l4 = ls[:4]
         chain = ls[:d]
-        o = coordinate_lagrangian(n)
         t123 = maslov3(l1, l2, l3)
         defects = {
             "g_invariance": maslov3(*(l.transformed(g) for l in (l1, l2, l3))) - t123,
@@ -346,8 +390,8 @@ def _maslov_axioms_case_by_case(rng, count):
 
 
 def _cocycles_case_by_case(rng, count, tol=1e-12):
-    """``suite_cocycles`` as it was written: one ``cocycle_clm`` call, and so one
-    Maslov kernel call, per value."""
+    """``suite_cocycles`` as it was first written, on the documented draws: one
+    ``cocycle_clm`` call, and so one Maslov kernel call, per value."""
     failures, worst = [], 0.0
     l1 = coordinate_lagrangian(1)
     for i in range(count):
@@ -359,8 +403,10 @@ def _cocycles_case_by_case(rng, count, tol=1e-12):
             failures.append({"case": i, "kind": "sl2-match", "m1": encode_matrix(m1),
                              "m2": encode_matrix(m2), "defect": d})
     l2 = coordinate_lagrangian(2)
-    for i in range(max(1, count // 5)):
-        g1, g2, g3 = (_random_symplectic_per_letter(rng, 2) for _ in range(3))
+    cases = max(1, count // 5)
+    gs = [_per_letter_product(word, 2) for word in _words_in_batch_order(rng, 2, 3 * cases)]
+    for i in range(cases):
+        g1, g2, g3 = gs[3 * i:3 * i + 3]
         lhs = cocycle_clm(1.0, l2, g1 @ g2, g3) * cocycle_clm(1.0, l2, g1, g2)
         rhs = cocycle_clm(1.0, l2, g1, g2 @ g3) * cocycle_clm(1.0, l2, g2, g3)
         d = abs(lhs - rhs)
@@ -391,13 +437,19 @@ def test_suite_matches_case_by_case(monkeypatch, name, suite, case_by_case, coun
 
 
 def _maslov_axioms_drawing(monkeypatch, seed, count):
-    """Run ``suite_maslov_axioms(seed, count)``; the dimension of each word it
-    draws, in the order drawn."""
+    """Run ``suite_maslov_axioms(seed, count)``; the dimension of each word that
+    ``_draw_words`` returns to it, in the order drawn."""
     dims = []
-    draw = suites_mod._draw_word
-    monkeypatch.setattr(suites_mod, "_draw_word", lambda rng, n: dims.append(n) or draw(rng, n))
+    draw = suites_mod._draw_words
+
+    def recording(rng, n, k):
+        words = draw(rng, n, k)
+        dims.extend(n for _ in words)
+        return words
+
+    monkeypatch.setattr(suites_mod, "_draw_words", recording)
     suite_maslov_axioms(seed, count)
-    monkeypatch.setattr(suites_mod, "_draw_word", draw)
+    monkeypatch.setattr(suites_mod, "_draw_words", draw)
     return dims
 
 
@@ -421,6 +473,22 @@ def test_maslov_axioms_makes_one_kernel_call_per_dimension(monkeypatch, count):
         assert calls == {name: dims for name in dim_of}
 
 
+def test_maslov_axioms_draws_its_words_in_batches(monkeypatch):
+    # a count-5 suite draws its words with one _draw_words call per dimension,
+    # never letter by letter, and takes every g candidate's det in a stack
+    calls, dets = [], []
+    draw, det = suites_mod._draw_words, np.linalg.det
+    monkeypatch.setattr(suites_mod, "_draw_words",
+                        lambda rng, n, k: calls.append(n) or draw(rng, n, k))
+    monkeypatch.setattr(maslov_mod, "_draw_word", lambda rng, n: pytest.fail("_draw_word"))
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.ndim(a)) or det(a))
+    for seed in range(40):
+        calls.clear()
+        suite_maslov_axioms(seed, 5)
+        assert 1 <= len(calls) <= 3 and calls == sorted(set(calls))
+    assert dets and set(dets) == {3}
+
+
 def test_maslov_axioms_checks_exactly_each_cases_lagrangians(monkeypatch):
     # each dimension's one Lagrangian check gets, in case order, each case's
     # l1..l6 and, when d = 6, its auxiliary Lagrangian (word 7); word 7 of a
@@ -434,13 +502,8 @@ def test_maslov_axioms_checks_exactly_each_cases_lagrangians(monkeypatch):
         for seed in range(10):
             seen.clear()
             suite_maslov_axioms(seed, count)
-            rng = np.random.default_rng(seed)
             kept = {1: [], 2: [], 3: []}
-            for _ in range(count):
-                n = (1, 2, 3)[rng.integers(3)]
-                words = [maslov_mod._draw_word(rng, n) for _ in range(7)]
-                d = int(rng.integers(3, 7))
-                words += [maslov_mod._draw_word(rng, n) for _ in range(4 if d == 6 else 3)]
+            for n, d, words in _maslov_axioms_words(np.random.default_rng(seed), count):
                 kept[n] += words[:6] + words[7:8] * (d == 6)
                 chain_lengths.add(d)
             want = [_word_products(ws, n) @ maslov_mod._coordinate_basis(n)
@@ -463,10 +526,12 @@ def test_maslov_axioms_raises_the_first_cases_error(monkeypatch):
     # case of a lower dimension, which a pass by dimension would reach first;
     # the suite raises the first case's error, as one case at a time would
     for seed in range(100):
-        dims = _maslov_axioms_drawing(monkeypatch, seed, 5)
+        # each case's n, the suite's first draw
+        dims = np.random.default_rng(seed).integers(1, 4, size=5).tolist()
         if min(dims) < dims[0]:
             break
     assert min(dims) < dims[0]
+    assert set(_maslov_axioms_drawing(monkeypatch, seed, 5)) == set(dims)
     bad = {dims[0], min(dims)}
     check = suites_mod._require_lagrangian
 
@@ -521,11 +586,14 @@ def test_maslov_zero_rule_has_a_wide_margin(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_drawn_letters_are_in_letter_form(n):
-    # every letter _draw_word builds equals, bit for bit, what the outside-input
-    # check _letter returns for it, so that check would change nothing
+    # every letter _draw_word and _draw_words build equals, bit for bit, what
+    # the outside-input check _letter returns for it, so that check would
+    # change nothing
+    draws = (lambda rng: [maslov_mod._draw_word(rng, n) for _ in range(3)],
+             lambda rng: maslov_mod._draw_words(rng, n, 3))
     for seed in range(200):
-        rng = np.random.default_rng(seed)
-        for kind, par in (letter for _ in range(3) for letter in maslov_mod._draw_word(rng, n)):
+        words = [word for draw in draws for word in draw(np.random.default_rng(seed))]
+        for kind, par in (letter for word in words for letter in word):
             if kind == "sigma":
                 assert par is None and _letter(kind, par, n) is None
             elif kind == "t":

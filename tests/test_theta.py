@@ -351,6 +351,30 @@ def test_fourier_refuses_a_non_finite_t_or_r(bad, which):
     assert not calls
 
 
+@pytest.mark.parametrize("t", [1000.0, 1e200, 1e308])
+def test_fourier_refuses_an_overflowing_factor(t):
+    # exp(2 pi T Im Omega0) is past the float range: refused before func is
+    # sampled, with no numpy warning (filterwarnings = error)
+    p0 = SiegelJacobiPoint(np.array([[0.9j]]), np.array([[0j]]))
+    calls = []
+    with pytest.raises(ResourceError, match=r"^the factor exp\(2 pi .* overflows a float$"):
+        fourier_coefficient(lambda omega, z: calls.append(1), np.array([[t]]),
+                            np.array([[2.0]]), p0, grid_points=4)
+    assert not calls
+
+
+def test_fourier_refuses_an_overflowing_result():
+    # the factor e^(180 pi) is finite, but times samples of size 1e100 the
+    # coefficient is past the float range
+    p0 = SiegelJacobiPoint(np.array([[0.9j]]), np.array([[0j]]))
+
+    def big(omega, z):
+        return 1e100 * np.exp(2j * np.pi * 100 * omega[:, 0, 0].real)
+
+    with pytest.raises(ResourceError, match="^the Fourier coefficient overflows a float$"):
+        fourier_coefficient(big, np.array([[100.0]]), np.array([[0.0]]), p0, grid_points=4)
+
+
 def test_fourier_takes_a_numpy_integer_grid():
     # 2 * np.uint8(128) would wrap to 0: the grid is doubled as a Python int
     p0 = SiegelJacobiPoint(np.array([[1j]]), np.array([[0j]]))

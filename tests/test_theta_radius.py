@@ -5,9 +5,11 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from jacobiweil import (GaussianState, ResourceError, SiegelJacobiPoint, lattice_sum,
                         theta_M, theta_weight_quarter)
+from jacobiweil import theta as theta_mod
 from jacobiweil.theta import RADIUS_CAP, _least_radius, _tail_majorant
 
 
@@ -80,3 +82,27 @@ def test_infinite_tol_gives_radius_one():
     assert theta_M(np.array([[2.0]]), stack, math.inf).truncation.radius == 1
     assert math.isfinite(abs(theta_weight_quarter(0.1 + 1j, math.inf)))
 
+
+
+def test_an_unreachable_radius_is_refused_without_a_scan(monkeypatch):
+    # an infinite drift, or a root of the docstring's bound past the cap, shows
+    # that no radius up to the cap can pass: the refusal takes no majorant for
+    # that state, where the scan took one per radius up to the cap
+    calls = []
+    majorant = theta_mod._tail_majorant
+    monkeypatch.setattr(theta_mod, "_tail_majorant",
+                        lambda *args: calls.append(args[0]) or majorant(*args))
+    refusal = f"^tolerance {{}} unreachable within radius cap {RADIUS_CAP}$"
+    for args in ((1e-10, 1, 1.0, 0.1, math.inf, 0.0), (1e-10, 1, 1.0, 0.1, 0.0, math.inf),
+                 (1e-10, 1, 1.0, 0.1, math.nan, 0.0), (1e-10, 1, 1.0, 1e-9, 0.0, 100.0)):
+        calls.clear()
+        with pytest.raises(ResourceError, match=refusal.format(1e-10)):
+            _least_radius(*args)
+        assert calls == []
+    # two points, the second with a drift past the float range: only the
+    # first point's radii 1 and 2 are tried
+    calls.clear()
+    stack = SiegelJacobiPoint(np.array([[[1j]], [[1j]]]), np.array([[[0.1]], [[1e300 + 1e300j]]]))
+    with pytest.raises(ResourceError, match=refusal.format(1e-09)):
+        theta_M(np.eye(1), stack, 1e-9)
+    assert calls == [1, 2]
