@@ -221,7 +221,7 @@ def kronecker_symbol(c: int, d: int) -> int:
     Multiplicative in d with (c/-1) = -1 iff c < 0, (0/±1) = 1, and the
     Jacobi symbol for positive odd d; zero when gcd(c, d) > 1.
     """
-    c, d = int(c), int(d)
+    c, d = _integer("c", c), _integer("d", d)
     if d % 2 == 0:
         raise DomainError("denominator must be odd")
     sign = 1
@@ -249,7 +249,7 @@ def kronecker_symbol(c: int, d: int) -> int:
 
 def epsilon_d(d: int) -> complex:
     """1 for d = 1 mod 4, i for d = 3 mod 4."""
-    r = int(d) % 4
+    r = _integer("d", d) % 4
     if r == 1:
         return 1.0 + 0j
     if r == 3:
@@ -263,13 +263,13 @@ def theta_multiplier(gamma, tau: complex) -> complex:
     gamma = np.asarray(gamma)
     if gamma.shape != (2, 2):
         raise DomainError("gamma must be a 2x2 matrix")
-    if not np.issubdtype(gamma.dtype, np.integer):
-        if not np.allclose(gamma, np.round(gamma)):
-            raise DomainError("gamma must be an integer matrix")
-        gamma = np.round(gamma).astype(int)
+    entries = gamma.ravel().tolist()
+    # each entry an int that is not a bool, or a float equal to an int (so finite)
+    if not all(type(v) is int or isinstance(v, float) and v.is_integer() for v in entries):
+        raise DomainError("gamma must be an integer matrix")
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise DomainError(f"tau must lie in the upper half plane, got {tau!r}")
-    a, b, c, d = (int(v) for v in gamma.ravel())
+    a, b, c, d = (int(v) for v in entries)
     if a * d - b * c != 1:
         raise DomainError("gamma must have determinant 1")
     if c % 4 != 0:

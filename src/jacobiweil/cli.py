@@ -94,10 +94,7 @@ def _job_theta_sum(params, tol):
 def _job_maslov(params, tol):
     maslov = _module("maslov")
     ls = [maslov.Lagrangian(serialize.decode_real_matrix(b)) for b in params["lagrangians"]]
-    if len(ls) < 3:
-        raise DomainError("need at least three Lagrangians")
-    value = maslov.maslov3(*ls) if len(ls) == 3 else maslov.maslov_chain(ls)
-    return {"index": value}, {}, True
+    return {"index": maslov.maslov_chain(ls)}, {}, True
 
 
 def _job_cocycle(params, tol):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .groups import HeisenbergElement
 from .linalg import _siegel_omega
 from .states import index_matrix
@@ -39,8 +39,8 @@ class FockState:
             raise DomainError("linear exponent must match the state shape")
         clean = {}
         for k, v in self.coeffs.items():
-            k = tuple(int(i) for i in k)
-            if len(k) != m * n or any(i < 0 for i in k):
+            k = tuple(_integer("multi-index entry", i, 0) for i in k)
+            if len(k) != m * n:
                 raise DomainError("multi-index must have one entry per Z coordinate")
             if sum(k) > DEGREE_CAP:
                 raise DomainError(f"total degree {sum(k)} exceeds cap {DEGREE_CAP}")

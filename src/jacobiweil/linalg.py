@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetryError, DomainError, EigenSolverError
+from .errors import AsymmetryError, DomainError, EigenSolverError, _integer
 
 SYM_DEFECT_TOL = 1e-8
 PD_TOL = 1e-12
@@ -221,7 +221,7 @@ def principal_pow_half(z: complex, kappa: int) -> complex:
 
     Real negative z lands on the branch boundary: z^{1/2} = i*|z|^{1/2}.
     """
-    z = complex(z)
+    z, kappa = complex(z), _integer("kappa", kappa)
     if z == 0:
         if kappa < 0:
             raise DomainError("0 cannot be raised to a negative half-power")
@@ -231,7 +231,7 @@ def principal_pow_half(z: complex, kappa: int) -> complex:
     else:
         phi = math.atan2(z.imag, z.real)
     root = math.sqrt(abs(z)) * complex(math.cos(phi / 2), math.sin(phi / 2))
-    return root ** int(kappa)
+    return root ** kappa
 
 
 def holo_sqrt_det(s) -> complex:

@@ -30,7 +30,7 @@ from .weil import covariance_residual
 # --- tamed samplers ---------------------------------------------------------
 
 
-def rand_sym(rng, n, scale=0.5):
+def rand_sym(rng, n, scale):
     b = scale * rng.normal(size=(n, n))
     return 0.5 * (b + b.T)
 
@@ -82,15 +82,13 @@ def rand_sl2(rng):
 
 
 def rand_gamma04(rng):
-    """Random element of Gamma_0(4) with entries bounded by 50."""
+    """Random element of Gamma_0(4): c in 4 [-13, 12], the other entries in [-50, 50]."""
     while True:
         c = 4 * int(rng.integers(-50 // 4, 50 // 4 + 1))
         d = int(rng.integers(-50, 51))
-        if d % 2 == 0 or math.gcd(abs(c), abs(d)) != 1:
+        if math.gcd(c, d) != 1:  # so d is odd (4 | c), and d = +-1 when c = 0
             continue
         if c == 0:
-            if abs(d) != 1:
-                continue
             b = int(rng.integers(-50, 51))
             a = d  # ad = 1 with c = 0
             return np.array([[a, b * d], [0, d]])
@@ -99,9 +97,7 @@ def rand_gamma04(rng):
         # center a
         if a > abs(c) // 2:
             a -= abs(c)
-        b = (a * d - 1) // c
-        if a * d - b * c != 1:
-            continue
+        b = (a * d - 1) // c  # exact: a d = 1 (mod |c|)
         if max(abs(a), abs(b)) <= 50:
             return np.array([[a, b], [c, d]])
 

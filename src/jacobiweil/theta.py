@@ -62,9 +62,9 @@ class Truncation:
 
     radius: int
     tail_bound: float | np.ndarray
-    terms: int = 0
-    roundoff_bound: float | np.ndarray = 0.0
-    shift: np.ndarray | None = field(default=None, compare=False)
+    terms: int
+    roundoff_bound: float | np.ndarray
+    shift: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .automorphy import MetaplecticElement, _index_factor, _principal_eps
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .groups import (HeisenbergElement, IwasawaCoords, JacobiElement, SiegelJacobiPoint,
                      SymplecticElement, _letter, _one_point, _word_products,
                      jacobi_act)
@@ -83,6 +83,7 @@ def weil_apply_word(m_index, word, f: GaussianState) -> GaussianState:
     return _apply_letters(mm, [(kind, _letter(kind, par, n)) for kind, par in word], f)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
     """Apply letters (kind, parameter), rightmost first, to f, with M already
     checked: the one loop of every operator in this package.  t/g/sigma
@@ -95,14 +96,15 @@ def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
     * sigma: the M-twisted Fourier kernel
       (1/i)^{mn/2} (det M)^{n/2} \\int f(y) exp(-2 pi i tr(M y x^T)) dy, in
       closed form; the prefactor holo_sqrt_det(-i (M kron A))^{-1} has an
-      argument with positive definite real part M kron Im A.  A non-finite A
-      is refused first.  sigma and rot leave the zero state as it is; rot
-      reads its branch off Im A > 0, so it acts first, on the checked f.
+      argument with positive definite real part M kron Im A.  sigma and rot
+      leave the zero state as it is; rot reads its branch off Im A > 0, so it
+      acts first, on the checked f.
 
     (c, A, B) are carried as arrays in the form each intermediate
     ``GaussianState`` gave them (so an asymmetry raises at the letter that
-    made it); only the returned state is checked.  With no letter applied,
-    f is returned.
+    made it); only the returned state is checked.  f and every letter are
+    finite, so a non-finite entry after a letter is an overflow: it raises
+    ResourceError, with no numpy warning.  With no letter applied, f is returned.
     """
     m, n = f.shape
     c, a, b = f.c, f.a, f.b
@@ -119,8 +121,6 @@ def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
             al, det = par
             c, a, b = c * principal_pow_half(det, m), al.T @ a @ al, b @ al
         elif kind == "sigma":
-            if not np.isfinite(a).all():
-                raise DomainError("c, A and B must have finite entries")
             a_inv = np.linalg.inv(a)
             pref = principal_pow_half(1 / 1j, m * n) * np.linalg.det(mm) ** (n / 2)
             root = holo_sqrt_det(-1j * np.kron(mm, a))
@@ -145,6 +145,8 @@ def _apply_letters(mm: np.ndarray, letters, f: GaussianState) -> GaussianState:
             shift_phase = np.exp(1j * np.pi * np.trace(mm @ (lam @ a @ lam.T + 2 * lam @ b.T)))
             central = np.exp(2j * np.pi * scale * np.trace(mm @ (kap + mu @ lam.T)))
             c, b = c * central * shift_phase, b + lam @ a + 2 * scale * mu
+        if not (np.isfinite(c) and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ResourceError(f"the {kind} letter overflowed: c, A or B is not finite")
     return GaussianState(c, a, b) if raw else f
 
 

@@ -399,6 +399,16 @@ def test_theta_multiplier_quotient_oracle(rng):
         assert abs(abs(theta_multiplier(gam, tau)) - 1) < 1e-12
 
 
+def test_rand_gamma04_draws_lie_in_gamma0_4():
+    # seeds 413 and 1148 take the c = 0 branch, which 4 of seeds 0-2999 reach
+    for seed in (413, 1148, *range(40)):
+        gam = rand_gamma04(np.random.default_rng(seed))
+        (a, b), (c, d) = gam.tolist()
+        assert a * d - b * c == 1 and c % 4 == 0 and -52 <= c <= 48
+        assert max(abs(a), abs(b), abs(d)) <= 50
+        assert (c == 0) == (seed in (413, 1148))
+
+
 def test_theta_multiplier_c_zero_negative_d():
     gam = np.array([[-1, 3], [0, -1]])
     tau = 0.2 + 0.9j

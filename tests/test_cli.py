@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from jacobiweil import DomainError, GaussianState, JacobiElement
 from jacobiweil import serialize
 from jacobiweil.cli import main, run_job
-from jacobiweil.maslov import random_symplectic
+from jacobiweil.maslov import Lagrangian, maslov3, maslov_chain, random_symplectic
 from jacobiweil.suites import SUITES, rand_heisenberg, rand_point, rand_word, run_suite
 
 
@@ -66,6 +66,24 @@ def test_run_job_maslov():
             "params": {"lagrangians": [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [1.0]]]}}
     result, code = run_job(spec)
     assert code == 0 and result["outputs"]["index"] == -1
+
+
+def test_run_job_maslov_is_the_chain_index(rng):
+    # every count of Lagrangians, three included, is maslov_chain's one call
+    o = np.vstack([np.eye(2), np.zeros((2, 2))])
+    for k in (3, 4, 6):
+        ls = [random_symplectic(rng, 2).g @ o for _ in range(k)]
+        result, code = run_job({"command": "maslov",
+                                "params": {"lagrangians": [b.tolist() for b in ls]}})
+        index = maslov_chain([Lagrangian(b) for b in ls])
+        assert code == 0 and type(result["outputs"]["index"]) is int
+        assert result["outputs"]["index"] == index
+        if k == 3:
+            assert index == maslov3(*(Lagrangian(b) for b in ls))
+    for k in (0, 2):
+        with pytest.raises(DomainError) as info:
+            run_job({"command": "maslov", "params": {"lagrangians": [o.tolist()] * k}})
+        assert str(info.value) == "chain needs at least three Lagrangians"
 
 
 def test_run_job_multiplicity():
@@ -357,6 +375,21 @@ def test_cli_overflowing_covariance_factor_is_a_quiet_resource_error(cli_env):
     assert proc.returncode == 3 and proc.stderr == ""
     assert json.loads(proc.stdout) == {
         "schema": "1", "error": "resource: the index-M factor (nan+nanj) is not finite"}
+
+
+def test_cli_overflowing_operator_letter_is_a_quiet_resource_error(cli_env):
+    # at Z = -250i the Heisenberg letter's factor exp(i pi tr(M(lam A lam^T
+    # + 2 lam B^T))) is e^(499 pi), past the float range: the operator loop
+    # refuses the state (exit 3) and prints no numpy warning
+    spec = {"command": "covariance",
+            "params": {"M": [[1.0]], "word": [],
+                       "heisenberg": {"lambda": [[1.0]], "mu": [[0.0]], "kappa": [[0.0]]},
+                       "point": {"omega": [[[0.0, 1.0]]], "z": [[[0.0, -250.0]]]}}}
+    proc = subprocess.run([sys.executable, "-m", "jacobiweil.cli", "--job", "-"],
+                          input=json.dumps(spec), capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "schema": "1", "error": "resource: the heis letter overflowed: c, A or B is not finite"}
 
 
 @pytest.mark.parametrize("argv, message", [

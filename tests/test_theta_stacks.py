@@ -148,7 +148,9 @@ def test_a_stack_of_zero_states_sums_nothing():
     for x in (value, tail, roundoff):
         assert x.shape == (3,) and not x.any()
     tv = lattice_sum(ZEROS[2], np.eye(1), 1e-10)
-    assert (tv.value, tv.truncation) == (0j, type(tv.truncation)(0, 0.0, 0, 0.0))
+    zero = np.zeros((1, 2), int)
+    assert (tv.value, tv.truncation) == (0j, type(tv.truncation)(0, 0.0, 0, 0.0, zero))
+    assert (tv.truncation.shift == zero).all()
 
 
 @pytest.mark.parametrize("state", [

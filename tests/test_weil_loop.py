@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobiweil import (DomainError, GaussianState, HeisenbergElement, IwasawaCoords,
-                        LatticePair, SiegelJacobiPoint, asymptotic_main_term,
+                        LatticePair, ResourceError, SiegelJacobiPoint, asymptotic_main_term,
                         check_gamma_invariance, covariance_residual, gamma_n_generators,
                         schrodinger_apply, state_distance, sw_iwasawa_apply,
                         sw_rotation_apply, theta_state, theta_sum_f, weil_apply_word,
@@ -122,11 +122,15 @@ def test_weil_chains_solve_few_eigenvalue_problems(monkeypatch):
 
 def test_an_intermediate_overflow_still_raises():
     f = GaussianState(1.0, 1j * np.eye(1), [[0.1]])
-    # g(1e200 I) makes Im A infinite; the sigma after it refuses the state
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+    # g(1e200 I) makes Im A infinite: the loop refuses the state at that letter,
+    # before the sigma after it, as a resource error and with no numpy warning
+    message = "the g letter overflowed: c, A or B is not finite"
+    with pytest.raises(ResourceError) as info:
         weil_apply_word(np.eye(1), [("sigma", None), ("g", 1e200 * np.eye(1))], f)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+    assert str(info.value) == message
+    with pytest.raises(ResourceError) as info:
         weil_apply_word(np.eye(1), [("g", 1e200 * np.eye(1))], f)
+    assert str(info.value) == message
 
 
 def _calls(path: Path, names, nodes: bool = False) -> list:
